@@ -15,8 +15,8 @@ from repro.buffers import bound_all_buffers
 from repro.buffers.capacity import minimal_buffer_capacity
 from repro.generators.csdf_apps import echo, jpeg2000, pdetect
 from repro.generators.paper import figure2_graph
-from repro.kperiodic import expand_graph
 from repro.kperiodic.expansion import expanded_repetition_vector
+from tests.reference_expansion import expand_graph
 
 INSTANCES = {
     "figure2": figure2_graph,

@@ -77,16 +77,11 @@ def test_engines_agree(benchmark, instance):
 def _expanded_constraint_graph(graph, cap=None):
     """The K-expanded bi-valued constraint graph (K = q, capped)."""
     from repro.analysis import repetition_vector
-    from repro.kperiodic.expansion import (
-        expand_graph,
-        expanded_repetition_vector,
-    )
+    from tests.reference_expansion import reference_expansion
 
     q = repetition_vector(graph)
     K = {t: (q[t] if cap is None else min(q[t], cap)) for t in q}
-    expanded = expand_graph(graph, K)
-    q_tilde = expanded_repetition_vector(q, K)
-    bi, _ = build_constraint_graph(expanded, q_tilde, serialize=True)
+    bi, _ = reference_expansion(graph, K, q)
     return bi
 
 

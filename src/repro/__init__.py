@@ -46,7 +46,6 @@ from repro.kperiodic import (
     KIterResult,
     KPeriodicResult,
     KPeriodicSchedule,
-    expand_graph,
     min_period_for_k,
     throughput_kiter,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "KIterResult",
     "KPeriodicResult",
     "KPeriodicSchedule",
-    "expand_graph",
     "min_period_for_k",
     "throughput_kiter",
     # baselines

@@ -10,91 +10,24 @@ The minimum feasible period is the maximum cycle ratio of this graph
 
 Parallel arcs between the same node pair (several useful pairs of the same
 buffer, or several buffers between the same tasks) all share the same cost
-``L = d(t_p)``; only the largest ``Ω``-coefficient binds, so we merge them
-keeping the arc with minimal ``H``. This typically shrinks K-expanded
-constraint graphs dramatically (see the A3 ablation bench). The merge is
-one vectorized ``np.lexsort`` + ``minimum.reduceat`` pass
-(:func:`merge_parallel_candidates`, shared with the direct K-expansion
-pipeline in :mod:`repro.kperiodic.expansion`); the historical dict-based
-merge survives as the no-numpy/overflow fallback and produces the exact
-same graph — first-occurrence arc order, minimal ``H`` per node pair.
+``L = d(t_p)``; only the largest ``Ω``-coefficient binds, so they merge
+into the arc with minimal ``H``. This typically shrinks K-expanded
+constraint graphs dramatically (see the A3 ablation bench).
+
+The graph of ``G`` is the ``K ≡ 1`` case of the K-expansion compile, so
+:func:`build_constraint_graph` is a thin call to
+:func:`repro.kperiodic.expansion.compile_expansion`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-try:  # numpy backs the vectorized merge; optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
-
 from repro.analysis.consistency import repetition_vector
-from repro.analysis.precedence import useful_pair_arrays
-from repro.mcrp.graph import BiValuedGraph
+from repro.mcrp.graph import FrozenBiValuedGraph
 from repro.model.graph import CsdfGraph
-from repro.utils.rational import lcm_list
 
 NodeKey = Tuple[str, int]  # (task name, 1-based phase)
-
-#: Stay well inside int64 for the rescaled β comparisons of the merge.
-_MERGE_INT64_GUARD = 1 << 62
-
-
-def merge_parallel_candidates(srcs, dsts, costs, betas, denoms, node_count):
-    """Vectorized min-``H`` dedupe of candidate arcs, first-occurrence order.
-
-    Inputs are parallel int64 arrays describing candidate arcs whose
-    transit is the exact rational ``H = −β/den`` (``den > 0`` per arc —
-    the Theorem 2 denominator ``q_t·i_b`` of the emitting buffer).
-    Among candidates sharing ``(src, dst)`` only the minimal ``H`` (the
-    binding constraint) survives; the survivors keep the order in which
-    their node pair first appeared in the input, and the kept cost is
-    the group's shared ``L = d(t_p)`` (all candidates of a node pair
-    come from the same producer phase).
-
-    The exact cross-denominator comparison rescales every β to the lcm
-    of the distinct denominators (one ``np.lexsort`` groups the pairs,
-    one ``minimum.reduceat`` picks each group's minimum rescaled ``H``).
-    Returns ``(srcs, dsts, costs, betas, denoms)`` — the output β/den
-    pairs represent the same rationals, possibly unreduced — or ``None``
-    when the rescaled values could overflow int64 (the caller then falls
-    back to the exact dict merge).
-    """
-    m = int(srcs.shape[0])
-    if m == 0:
-        return srcs, dsts, costs, betas, denoms
-    distinct = [int(d) for d in _np.unique(denoms)]
-    common = lcm_list(distinct)
-    if common >= _MERGE_INT64_GUARD:
-        return None
-    factors = common // denoms  # int64: common < 2**62, denoms ≥ 1
-    max_beta = int(_np.abs(betas).max())
-    max_factor = int(factors.max())
-    if max_beta and max_beta * max_factor >= _MERGE_INT64_GUARD:
-        return None
-    # H·common = −β·(common/den): minimize H ⇔ minimize the rescaled value.
-    scaled_h = -(betas * factors)
-    key = srcs * _np.int64(node_count) + dsts
-    order = _np.lexsort((key,))  # stable: ties keep input order
-    key_sorted = key[order]
-    group_starts = _np.flatnonzero(
-        _np.concatenate(([True], key_sorted[1:] != key_sorted[:-1]))
-    )
-    min_h = _np.minimum.reduceat(scaled_h[order], group_starts)
-    # Stable sort ⇒ the first element of each group slice carries the
-    # smallest original index: that is the node pair's first occurrence.
-    firsts = order[group_starts]
-    emit = _np.argsort(firsts, kind="stable")
-    firsts = firsts[emit]
-    return (
-        srcs[firsts],
-        dsts[firsts],
-        costs[firsts],
-        -min_h[emit],
-        _np.full(firsts.shape[0], common, dtype=_np.int64),
-    )
 
 
 def build_constraint_graph(
@@ -103,13 +36,13 @@ def build_constraint_graph(
     *,
     serialize: bool = True,
     merge_parallel: bool = True,
-) -> Tuple[BiValuedGraph, Dict[NodeKey, int]]:
+) -> Tuple[FrozenBiValuedGraph, Dict[NodeKey, int]]:
     """The bi-valued graph of Theorem 2 for ``graph``.
 
     Parameters
     ----------
     graph:
-        A consistent CSDFG (typically the K-expansion ``G̃``).
+        A consistent CSDFG.
     repetition:
         Its repetition vector; computed when omitted.
     serialize:
@@ -122,145 +55,18 @@ def build_constraint_graph(
 
     Returns
     -------
-    (bi-valued graph, node index) where the node index maps
-    ``(task, phase)`` to the dense node id.
+    (bi-valued graph, node index) where the graph is read-only and the
+    node index maps ``(task, phase)`` to the dense node id.
     """
-    work = graph.with_serialization_loops() if serialize else graph
+    from repro.kperiodic.expansion import compile_expansion
+
     if repetition is None:
-        repetition = repetition_vector(work)
-
-    node_index: Dict[NodeKey, int] = {}
-    labels = []
-    base_of: Dict[str, int] = {}
-    for t in work.tasks():
-        base_of[t.name] = len(labels)
-        for p in range(1, t.phase_count + 1):
-            node_index[(t.name, p)] = len(labels)
-            labels.append((t.name, p))
-    bi_graph = BiValuedGraph(len(labels), labels=labels)
-
-    # Parallel-arc merging is only possible between buffers that share the
-    # same task pair (phase pairs are unique within one buffer), so the
-    # merge only engages when such a group exists and everything else
-    # keeps its per-buffer emission order.
-    pair_count: Dict[Tuple[str, str], int] = {}
-    for b in work.buffers():
-        key = (b.source, b.target)
-        pair_count[key] = pair_count.get(key, 0) + 1
-    shared_pairs = any(count > 1 for count in pair_count.values())
-
-    built = False
-    if _np is not None:
-        built = _build_arcs_vectorized(
-            work, repetition, bi_graph, base_of,
-            merge=merge_parallel and shared_pairs,
-        )
-    if not built:
-        _build_arcs_streaming(
-            work, repetition, bi_graph, base_of, pair_count, merge_parallel
-        )
-    # Arc construction edits arc arrays in bulk, so drop any stale
-    # compilation before emitting the frozen arc-array form. Every
-    # downstream consumer (oracle probes, SCC sweep, engines, potentials)
-    # shares this single compilation via the graph's cache.
-    bi_graph.invalidate()
-    bi_graph.compile()
-    return bi_graph, node_index
-
-
-def _build_arcs_vectorized(
-    work: CsdfGraph,
-    repetition: Dict[str, int],
-    bi_graph: BiValuedGraph,
-    base_of: Dict[str, int],
-    *,
-    merge: bool,
-) -> bool:
-    """Gather every buffer's candidate arcs as int64 arrays, merge, emit.
-
-    Returns False when the exact merge cannot run in int64 (the caller
-    then uses the streaming dict merge). The emitted graph is identical
-    to the streaming path's: per-buffer row-major candidate order,
-    first-occurrence order among merged node pairs.
-    """
-    parts_src, parts_dst, parts_cost, parts_beta, parts_den = [], [], [], [], []
-    for b in work.buffers():
-        denom = repetition[b.source] * b.total_production
-        p0s, pp0s, betas = useful_pair_arrays(b)
-        p0s = _np.asarray(p0s, dtype=_np.int64)
-        pp0s = _np.asarray(pp0s, dtype=_np.int64)
-        betas = _np.asarray(betas, dtype=_np.int64)
-        durations = _np.asarray(
-            work.task(b.source).durations, dtype=_np.int64
-        )
-        parts_src.append(p0s + base_of[b.source])
-        parts_dst.append(pp0s + base_of[b.target])
-        parts_cost.append(durations[p0s])
-        parts_beta.append(betas)
-        parts_den.append(_np.full(p0s.shape[0], denom, dtype=_np.int64))
-    if not parts_src:
-        return True
-    srcs = _np.concatenate(parts_src)
-    dsts = _np.concatenate(parts_dst)
-    costs = _np.concatenate(parts_cost)
-    betas = _np.concatenate(parts_beta)
-    denoms = _np.concatenate(parts_den)
-    if merge:
-        merged = merge_parallel_candidates(
-            srcs, dsts, costs, betas, denoms, bi_graph.node_count
-        )
-        if merged is None:
-            return False
-        srcs, dsts, costs, betas, denoms = merged
-    bi_graph.extend_arcs(
-        srcs.tolist(),
-        dsts.tolist(),
-        [Fraction(c) for c in costs.tolist()],
-        [
-            Fraction(-beta, den)
-            for beta, den in zip(betas.tolist(), denoms.tolist())
-        ],
+        repetition = repetition_vector(graph)
+    bi_graph, space = compile_expansion(
+        graph,
+        {t.name: 1 for t in graph.tasks()},
+        repetition,
+        serialize=serialize,
+        merge_parallel=merge_parallel,
     )
-    return True
-
-
-def _build_arcs_streaming(
-    work: CsdfGraph,
-    repetition: Dict[str, int],
-    bi_graph: BiValuedGraph,
-    base_of: Dict[str, int],
-    pair_count: Dict[Tuple[str, str], int],
-    merge_parallel: bool,
-) -> None:
-    """The historical per-buffer emission with the dict-based merge.
-
-    Kept as the no-numpy / int64-overflow fallback and as the reference
-    the vectorized merge is pinned against.
-    """
-    best: Dict[Tuple[int, int], int] = {}
-    for b in work.buffers():
-        denom = repetition[b.source] * b.total_production
-        src_base = base_of[b.source]
-        dst_base = base_of[b.target]
-        durations = work.task(b.source).durations
-        p0s, pp0s, betas = useful_pair_arrays(b)
-        shared_pair = merge_parallel and pair_count[(b.source, b.target)] > 1
-        if not shared_pair:
-            srcs = [src_base + int(p0) for p0 in p0s]
-            dsts = [dst_base + int(pp0) for pp0 in pp0s]
-            costs = [Fraction(durations[int(p0)]) for p0 in p0s]
-            transits = [Fraction(-int(beta), denom) for beta in betas]
-            bi_graph.extend_arcs(srcs, dsts, costs, transits)
-            continue
-        for p0, pp0, beta in zip(p0s, pp0s, betas):
-            src = src_base + int(p0)
-            dst = dst_base + int(pp0)
-            height = Fraction(-int(beta), denom)
-            existing = best.get((src, dst))
-            if existing is None:
-                best[(src, dst)] = bi_graph.add_arc(
-                    src, dst, durations[int(p0)], height
-                )
-            elif height < bi_graph.arc_transit[existing]:
-                # Same L (= d(t_p)); smaller H is the tighter constraint.
-                bi_graph.arc_transit[existing] = height
+    return bi_graph, space.node_index()

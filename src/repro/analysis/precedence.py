@@ -30,10 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Tuple
 
-try:  # numpy accelerates the O(ϕ·ϕ') candidate sweep; optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
+import numpy as _np
 
 from repro.model.buffer import Buffer
 from repro.model.graph import CsdfGraph
@@ -44,9 +41,24 @@ from repro.utils.rational import ceil_to_multiple, floor_to_multiple
 #: ``PAIR_SWEEP_BLOCK_CELLS`` cells per intermediate (8 Mi cells ≈ 64 MiB
 #: for the ``q``/``min-rate``/``β`` matrices each), bounding peak memory
 #: on K-expanded buffers whose full candidate matrix would not fit.
-#: Shared with the direct (G, K) expansion sweep in
+#: Shared with the (G, K) expansion sweep in
 #: :func:`expanded_useful_pair_arrays`.
 PAIR_SWEEP_BLOCK_CELLS = 8 * 1024 * 1024
+
+
+def _sweep_dtype(buffer: Buffer, k_src: int, k_dst: int):
+    """int64 when every ``Q``/``α``/``β`` of the sweep fits, else object.
+
+    ``|Q|``, ``|α|`` and ``|β|`` are at most the two expanded totals
+    plus the marking plus one rounding step (≤ either total), so twice
+    the totals plus ``|M0|`` bounds them; past ``2**62`` the sweep runs
+    on Python-int object arrays and stays exact.
+    """
+    bound = (
+        2 * (k_src * buffer.total_production + k_dst * buffer.total_consumption)
+        + abs(buffer.initial_tokens)
+    )
+    return _np.int64 if bound < (1 << 62) else object
 
 
 @dataclass(frozen=True)
@@ -149,21 +161,15 @@ def useful_pair_arrays(buffer: Buffer):
     Semantically identical to :func:`useful_pairs` (a unit test pins the
     equivalence) but evaluates the α ≤ β filter with numpy, which is what
     makes K-expanded constraint generation tractable on the Table 2
-    graphs. Falls back to the streaming implementation without numpy.
+    graphs. Phases are int64; ``beta`` is int64, or a Python-int object
+    array when the buffer's magnitudes leave int64.
 
     Large producers are processed in row blocks to bound peak memory at
-    ``block × ϕ(consumer)`` int64 cells.
+    ``block × ϕ(consumer)`` matrix cells.
     """
-    if _np is None:  # pragma: no cover - numpy is present in CI
-        ps, pps, betas = [], [], []
-        for p, pp, beta in useful_pairs(buffer):
-            ps.append(p - 1)
-            pps.append(pp - 1)
-            betas.append(beta)
-        return ps, pps, betas
-
-    production = _np.asarray(buffer.production, dtype=_np.int64)
-    consumption = _np.asarray(buffer.consumption, dtype=_np.int64)
+    dtype = _sweep_dtype(buffer, 1, 1)
+    production = _np.asarray(buffer.production, dtype=dtype)
+    consumption = _np.asarray(buffer.consumption, dtype=dtype)
     return _pair_sweep(
         production,
         consumption,
@@ -181,7 +187,7 @@ def _pair_sweep(production, consumption, prod_prefix, cons_prefix, m0, g):
     expanded buffers) and :func:`expanded_useful_pair_arrays` (tiled
     arrays synthesized from the base buffer): results are row-major in
     the producer phase regardless of the block size, which is what the
-    parity contract between the two pipelines relies on.
+    parity contract with the materialized expansion relies on.
     """
     base = production - prod_prefix - m0  # in(p) − Σ_{α≤p} in(α) − M0
     phi_p = production.shape[0]
@@ -225,15 +231,14 @@ def expanded_useful_pair_arrays(buffer: Buffer, k_src: int, k_dst: int):
     ``gcd(k_src·i_b, k_dst·o_b)`` arithmetically. A unit test pins the
     equivalence pairwise against the materialized path.
 
-    Requires numpy (the direct pipeline is gated on it); raises
-    :class:`RuntimeError` otherwise.
+    Magnitudes past int64 switch the rate arrays (hence ``beta``) to
+    Python-int object arrays; the phase arrays are always int64.
     """
-    if _np is None:  # pragma: no cover - numpy is present in CI
-        raise RuntimeError("expanded_useful_pair_arrays requires numpy")
     from math import gcd
 
-    production = _np.asarray(buffer.production, dtype=_np.int64)
-    consumption = _np.asarray(buffer.consumption, dtype=_np.int64)
+    dtype = _sweep_dtype(buffer, k_src, k_dst)
+    production = _np.asarray(buffer.production, dtype=dtype)
+    consumption = _np.asarray(buffer.consumption, dtype=dtype)
     if (
         k_src == k_dst
         and production.shape == consumption.shape
@@ -250,15 +255,15 @@ def expanded_useful_pair_arrays(buffer: Buffer, k_src: int, k_dst: int):
         # sweep by the unit tests.
         n = k_src * production.shape[0]
         p = _np.arange(n, dtype=_np.int64)
-        pp = (p + buffer.initial_tokens) % n
-        return p, pp, pp - p - buffer.initial_tokens
+        pp = (p + buffer.initial_tokens % n) % n
+        return p, pp, _np.asarray(pp - p, dtype=dtype) - buffer.initial_tokens
     i_b = buffer.total_production
     o_b = buffer.total_consumption
     prod_prefix = _np.tile(_np.cumsum(production), k_src) + i_b * _np.repeat(
-        _np.arange(k_src, dtype=_np.int64), production.shape[0]
+        _np.arange(k_src, dtype=dtype), production.shape[0]
     )
     cons_prefix = _np.tile(_np.cumsum(consumption), k_dst) + o_b * _np.repeat(
-        _np.arange(k_dst, dtype=_np.int64), consumption.shape[0]
+        _np.arange(k_dst, dtype=dtype), consumption.shape[0]
     )
     return _pair_sweep(
         _np.tile(production, k_src),

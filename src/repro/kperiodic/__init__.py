@@ -16,7 +16,6 @@
 from repro.kperiodic.expansion import (
     ExpansionBlockCache,
     compile_expansion,
-    expand_graph,
     expanded_repetition_vector,
     expansion_cache_for,
 )
@@ -34,7 +33,6 @@ from repro.kperiodic.solver import KPeriodicResult, min_period_for_k
 __all__ = [
     "ExpansionBlockCache",
     "compile_expansion",
-    "expand_graph",
     "expanded_repetition_vector",
     "expansion_cache_for",
     "KIterMachine",

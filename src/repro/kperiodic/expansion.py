@@ -1,4 +1,4 @@
-"""The K-expansion ``G → G̃`` (paper §3.2) and its direct compilation.
+"""The K-expansion ``G → G̃`` (paper §3.2), compiled straight from ``(G, K)``.
 
 For a periodicity vector ``K``, every task ``t`` of ``G̃`` has
 ``ϕ̃(t) = K_t·ϕ(t)`` phases obtained by duplicating its duration vector
@@ -7,22 +7,23 @@ vector ``K_t`` (resp. ``K_{t'}``) times; markings are unchanged. A
 1-periodic schedule of ``G̃`` *is* a K-periodic schedule of ``G``, with
 periods related by ``Ω_G = Ω_G̃ / lcm(K)`` (Theorem 3).
 
-:func:`expand_graph` materializes ``G̃`` as a real
-:class:`~repro.model.graph.CsdfGraph` — the reference path.
-:func:`compile_expansion` skips it entirely: Theorem 2's useful pairs of
-every expanded buffer are computed with numpy straight from the *base*
-buffer plus ``(K_src, K_dst)`` (the expanded prefix sums are affine in
-the tile index — see
+:func:`compile_expansion` never materializes ``G̃``: Theorem 2's useful
+pairs of every expanded buffer are computed with numpy straight from the
+*base* buffer plus ``(K_src, K_dst)`` (the expanded prefix sums are
+affine in the tile index — see
 :func:`repro.analysis.precedence.expanded_useful_pair_arrays`), emitted
-as int64 ``(src, dst, cost, β)`` arc blocks with one shared per-buffer
+as ``(src, dst, cost, β)`` arc blocks with one shared per-buffer
 denominator ``q̃_t·ĩ_b``, and assembled arithmetically into a
 :class:`~repro.mcrp.compiled.CompiledGraph` — zero per-arc ``Fraction``
 allocation; Fractions materialize lazily through the
 :class:`~repro.mcrp.graph.FrozenBiValuedGraph` views only for
-certification and back-mapping. Blocks are cached per ``(buffer name,
-K_src, K_dst)`` (:class:`ExpansionBlockCache`), so a K-Iter round whose
-escalation leaves a task's K unchanged reuses that task's blocks, and
-service-pool workers reuse them across jobs sharing a graph.
+certification and back-mapping. The arithmetic runs on int64 arrays and
+switches to Python-int object arrays wherever a value could leave int64,
+so the result is exact at any magnitude. Blocks are cached per
+``(buffer name, K_src, K_dst)`` (:class:`ExpansionBlockCache`), so a
+K-Iter round whose escalation leaves a task's K unchanged reuses that
+task's blocks, and service-pool workers reuse them across jobs sharing a
+graph.
 """
 
 from __future__ import annotations
@@ -32,19 +33,13 @@ from bisect import bisect_right
 from collections import OrderedDict
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-try:  # the direct pipeline is numpy-only; the legacy path is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
+import numpy as _np
 
-from repro.analysis.constraint_graph import merge_parallel_candidates
 from repro.analysis.precedence import expanded_useful_pair_arrays
 from repro.exceptions import ModelError, ReproError
 from repro.mcrp.compiled import CompiledGraph
 from repro.mcrp.graph import FrozenBiValuedGraph
-from repro.model.buffer import Buffer
 from repro.model.graph import CsdfGraph
-from repro.model.task import Task
 from repro.obs.metrics import REGISTRY as _REGISTRY
 from repro.utils.rational import lcm_list
 
@@ -59,16 +54,30 @@ _COMPILED_EVENTS = _REGISTRY.counter("repro_expansion_compiled_total")
 _COMPILED_HIT = _COMPILED_EVENTS.labels(event="hit")
 _COMPILED_MISS = _COMPILED_EVENTS.labels(event="miss")
 
-#: int64 head-room guard shared by every overflow gate of the direct
-#: pipeline: whenever an intermediate product could reach this bound the
-#: pipeline reports "unavailable" and the caller falls back to the
-#: arbitrary-precision legacy path.
-_DIRECT_INT64_GUARD = 1 << 62
+#: int64 head-room guard shared by every magnitude gate of the
+#: compile: whenever an intermediate product could reach this bound the
+#: affected arrays switch to ``dtype=object`` (Python ints).
+_INT64_GUARD = 1 << 62
 
 
-def _duplicate(vector: tuple, times: int) -> tuple:
-    """The paper's ``[v]^P`` vector-duplication operator."""
-    return tuple(vector) * times
+def _exact(array, bound: int):
+    """``array`` as-is while ``bound`` stays inside int64, else widened.
+
+    ``bound`` must dominate every magnitude the caller's next arithmetic
+    step can produce; above :data:`_INT64_GUARD` the array becomes a
+    Python-int object array, on which the same numpy expressions
+    (``*``, ``//``, ``np.gcd``, ``minimum.reduceat``, ``unique``) stay
+    exact.
+    """
+    if bound < _INT64_GUARD or array.dtype == object:
+        return array
+    return array.astype(object)
+
+
+def _int_array(values: Sequence[int]):
+    """Python ints as an int64 array, or an object array past the guard."""
+    wide = max(map(abs, values), default=0) >= _INT64_GUARD
+    return _np.asarray(values, dtype=object if wide else _np.int64)
 
 
 def validate_periodicity(graph: CsdfGraph, K: Mapping[str, int]) -> Dict[str, int]:
@@ -84,35 +93,6 @@ def validate_periodicity(graph: CsdfGraph, K: Mapping[str, int]) -> Dict[str, in
             )
         result[t.name] = k
     return result
-
-
-def expand_graph(graph: CsdfGraph, K: Mapping[str, int]) -> CsdfGraph:
-    """Build ``G̃`` for periodicity vector ``K``.
-
-    Examples
-    --------
-    >>> from repro.model import csdf
-    >>> g = csdf({"A": [1, 2]}, [("A", "A", [1, 0], [0, 1], 1)])
-    >>> expand_graph(g, {"A": 2}).task("A").durations
-    (1, 2, 1, 2)
-    """
-    K = validate_periodicity(graph, K)
-    expanded = CsdfGraph(f"{graph.name}~K")
-    for t in graph.tasks():
-        expanded.add_task(Task(t.name, _duplicate(t.durations, K[t.name])))
-    for b in graph.buffers():
-        expanded.add_buffer(
-            Buffer(
-                name=b.name,
-                source=b.source,
-                target=b.target,
-                production=_duplicate(b.production, K[b.source]),
-                consumption=_duplicate(b.consumption, K[b.target]),
-                initial_tokens=b.initial_tokens,
-                serialization=b.serialization,
-            )
-        )
-    return expanded
 
 
 def expanded_repetition_vector(
@@ -138,16 +118,17 @@ def expanded_repetition_vector(
 
 
 # ----------------------------------------------------------------------
-# Direct (G, K) → CompiledGraph pipeline
+# (G, K) → CompiledGraph
 # ----------------------------------------------------------------------
 class ArcBlock:
     """One buffer's K-expanded constraint arcs, in buffer-local phases.
 
     ``src_phase``/``dst_phase`` are 0-based phases of the *expanded*
     producer/consumer (``P ∈ 0..K_src·ϕ−1``), ``cost`` the producer
-    phase durations ``d(t_P)`` and ``beta`` Theorem 2's β — all int64,
-    frozen read-only so cache sharing across rounds/jobs is safe. The
-    per-buffer denominator ``q̃_t·ĩ_b`` is *not* part of the block: it
+    phase durations ``d(t_P)`` and ``beta`` Theorem 2's β — the phases
+    int64, ``cost``/``beta`` int64 or, past int64, Python-int object
+    arrays — frozen read-only so cache sharing across rounds/jobs is
+    safe. The per-buffer denominator ``q̃_t·ĩ_b`` is *not* part of the block: it
     depends on ``lcm(K)`` and is recomputed at assembly each round,
     which is exactly what makes the block reusable whenever
     ``(K_src, K_dst)`` did not change.
@@ -169,7 +150,7 @@ class ArcBlock:
 
     @property
     def cells(self) -> int:
-        """int64 cells held (the cache's size accounting unit)."""
+        """Array cells held (the cache's size accounting unit)."""
         return 4 * self.arc_count
 
 
@@ -186,7 +167,7 @@ class ExpansionBlockCache:
     round typically re-derives blocks for the few escalated tasks and
     hits the cache for the rest.
 
-    Bounded by total int64 cells (LRU eviction), not entry count, since
+    Bounded by total array cells (LRU eviction), not entry count, since
     block sizes vary by orders of magnitude across K.
     """
 
@@ -386,9 +367,10 @@ def expansion_cache_for(graph: CsdfGraph) -> ExpansionBlockCache:
 class _ExpandedLabels(Sequence):
     """Lazy ``(task, expanded phase)`` labels of an expanded node space.
 
-    Semantically the list the legacy builder materializes, computed on
-    access instead (labels are only read for critical circuits and
-    deadlock certificates — a handful of nodes out of ``Σ K_t·ϕ(t)``).
+    Semantically the list ``[(t, p) for t in tasks for p in phases]``,
+    computed on access instead (labels are only read for critical
+    circuits and deadlock certificates — a handful of nodes out of
+    ``Σ K_t·ϕ(t)``).
     """
 
     __slots__ = ("_space",)
@@ -416,8 +398,7 @@ class ExpandedNodeSpace:
     """Node layout of the K-expanded constraint graph (task-major).
 
     Task ``t`` owns the contiguous node range
-    ``[offset(t), offset(t) + K_t·ϕ(t))`` in task insertion order — the
-    exact layout the legacy ``build_constraint_graph`` produces — and
+    ``[offset(t), offset(t) + K_t·ϕ(t))`` in task insertion order, and
     node ``offset(t) + P`` is the first execution ``⟨t_{P+1}, 1⟩`` of
     expanded phase ``P+1``.
     """
@@ -473,6 +454,56 @@ class ExpandedNodeSpace:
         }
 
 
+def merge_parallel_candidates(srcs, dsts, costs, betas, denoms, node_count):
+    """Vectorized min-``H`` dedupe of candidate arcs, first-occurrence order.
+
+    Inputs are parallel arrays describing candidate arcs whose transit
+    is the exact rational ``H = −β/den`` (``den > 0`` per arc — the
+    Theorem 2 denominator ``q_t·i_b`` of the emitting buffer). Among
+    candidates sharing ``(src, dst)`` only the minimal ``H`` (the
+    binding constraint) survives; the survivors keep the order in which
+    their node pair first appeared in the input, and the kept cost is
+    the group's shared ``L = d(t_p)`` (all candidates of a node pair
+    come from the same producer phase).
+
+    The exact cross-denominator comparison rescales every β to the lcm
+    of the distinct denominators (one ``np.lexsort`` groups the pairs,
+    one ``minimum.reduceat`` picks each group's minimum rescaled ``H``);
+    when the rescaled values could leave int64 they are computed on
+    Python-int object arrays instead. Returns ``(srcs, dsts, costs,
+    betas, denoms)`` — the output β/den pairs represent the same
+    rationals, possibly unreduced.
+    """
+    if srcs.shape[0] == 0:
+        return srcs, dsts, costs, betas, denoms
+    common = lcm_list(int(d) for d in _np.unique(denoms))
+    max_factor = common // int(denoms.min())
+    bound = max(common, int(abs(betas).max()) * max_factor)
+    denoms = _exact(denoms, bound)
+    betas = _exact(betas, bound)
+    # H·common = −β·(common/den): minimize H ⇔ minimize the rescaled value.
+    scaled_h = -(betas * (common // denoms))
+    key = srcs * _np.int64(node_count) + dsts
+    order = _np.lexsort((key,))  # stable: ties keep input order
+    key_sorted = key[order]
+    group_starts = _np.flatnonzero(
+        _np.concatenate(([True], key_sorted[1:] != key_sorted[:-1]))
+    )
+    min_h = _np.minimum.reduceat(scaled_h[order], group_starts)
+    # Stable sort ⇒ the first element of each group slice carries the
+    # smallest original index: that is the node pair's first occurrence.
+    firsts = order[group_starts]
+    emit = _np.argsort(firsts, kind="stable")
+    firsts = firsts[emit]
+    return (
+        srcs[firsts],
+        dsts[firsts],
+        costs[firsts],
+        -min_h[emit],
+        _np.full(firsts.shape[0], common, dtype=denoms.dtype),
+    )
+
+
 def compile_expansion(
     graph: CsdfGraph,
     K: Mapping[str, int],
@@ -481,35 +512,36 @@ def compile_expansion(
     cache: Optional[ExpansionBlockCache] = None,
     serialize: bool = True,
     merge_parallel: bool = True,
-) -> Optional[Tuple[FrozenBiValuedGraph, ExpandedNodeSpace]]:
+) -> Tuple[FrozenBiValuedGraph, ExpandedNodeSpace]:
     """Compile the constraint graph of ``G̃`` directly from ``(G, K)``.
 
-    Produces the same graph as ``build_constraint_graph(expand_graph(G,
-    K), repetition)`` — identical compiled ``scale``/``cost``/``transit``
-    arrays, pinned by the parity suite — without materializing ``G̃`` or
-    any per-arc ``Fraction``:
+    Builds the constraint graph of Theorem 2 for the K-expansion without
+    materializing ``G̃`` or any per-arc ``Fraction``:
 
     1. per buffer, the expanded useful pairs come from the affine-tile
        sweep (cached in ``cache`` under ``(buffer, K_src, K_dst)``);
     2. blocks are offset into the task-major node space and concatenated
-       as int64 ``(src, dst, cost, β)`` arrays with one shared
-       denominator ``q̃_t·ĩ_b`` per buffer;
-    3. parallel arcs merge through the shared vectorized lexsort pass;
+       as ``(src, dst, cost, β)`` arrays with one shared denominator
+       ``q̃_t·ĩ_b`` per buffer;
+    3. parallel arcs (several buffers between the same two tasks) merge
+       through one vectorized lexsort pass
+       (:func:`merge_parallel_candidates`), keeping the minimal ``H``
+       per node pair;
     4. the global scale is the lcm of the per-arc *reduced* denominators
        ``den/gcd(β, den)`` (what ``Fraction`` normalization would have
        produced), and the scaled integer arrays feed
        :meth:`~repro.mcrp.compiled.CompiledGraph.from_int64_arrays`.
 
     ``repetition`` must be the expanded repetition vector ``q̃`` (see
-    :func:`expanded_repetition_vector`) — the same one the legacy path
-    receives.
+    :func:`expanded_repetition_vector`). ``serialize`` adds the all-ones
+    self-loops that forbid auto-concurrency; ``merge_parallel`` keeps
+    only the dominant arc between each node pair.
 
-    Returns ``None`` when the pipeline is unavailable — no numpy, or an
-    int64 overflow gate tripped — in which case the caller runs the
-    legacy expand+build path, which is exact at any magnitude.
+    Every step runs on int64 arrays while its values provably stay
+    below ``2**62`` and switches the affected arrays to Python-int
+    object arrays otherwise, so the result is exact at any magnitude
+    and the function always returns ``(graph, node space)``.
     """
-    if _np is None:
-        return None
     K = validate_periodicity(graph, K)
     work = None
     shared_pairs: Optional[bool] = None
@@ -542,24 +574,18 @@ def compile_expansion(
     for b in work.buffers():
         k_src = K[b.source]
         k_dst = K[b.target]
-        den = repetition[b.source] * k_src * b.total_production
-        if den >= _DIRECT_INT64_GUARD:
-            return None
         block = cache.get(b.name, k_src, k_dst) if cache is not None else None
         if block is None:
             p, pp, beta = expanded_useful_pair_arrays(b, k_src, k_dst)
-            durations = _np.tile(
-                _np.asarray(work.task(b.source).durations, dtype=_np.int64),
-                k_src,
-            )
-            block = ArcBlock(p, pp, durations[p], beta)
+            durations = _int_array(work.task(b.source).durations)
+            block = ArcBlock(p, pp, _np.tile(durations, k_src)[p], beta)
             if cache is not None:
                 cache.put(b.name, k_src, k_dst, block)
         parts_src.append(block.src_phase + space.offset(b.source))
         parts_dst.append(block.dst_phase + space.offset(b.target))
         parts_cost.append(block.cost)
         parts_beta.append(block.beta)
-        den_vals.append(den)
+        den_vals.append(repetition[b.source] * k_src * b.total_production)
         den_lens.append(block.arc_count)
 
     if parts_src:
@@ -569,42 +595,34 @@ def compile_expansion(
         betas = _np.concatenate(parts_beta)
         # One repeat instead of one np.full per buffer: the per-buffer
         # denominator q̃_t·ĩ_b is constant across a block's arcs.
-        denoms = _np.repeat(
-            _np.asarray(den_vals, dtype=_np.int64),
-            _np.asarray(den_lens, dtype=_np.int64),
-        )
+        denoms = _np.repeat(_int_array(den_vals), den_lens)
     else:
         srcs = dsts = costs = betas = _np.empty(0, dtype=_np.int64)
         denoms = _np.empty(0, dtype=_np.int64)
 
     if merge_parallel and shared_pairs and srcs.shape[0]:
-        merged = merge_parallel_candidates(
+        srcs, dsts, costs, betas, denoms = merge_parallel_candidates(
             srcs, dsts, costs, betas, denoms, space.node_count
         )
-        if merged is None:
-            return None
-        srcs, dsts, costs, betas, denoms = merged
 
     # Global scale = lcm of the reduced per-arc denominators — exactly
-    # the lcm of Fraction(−β, den).denominator the legacy compile
-    # derives, computed without constructing a single Fraction.
+    # the lcm of Fraction(−β, den).denominator, computed without
+    # constructing a single Fraction.
     if srcs.shape[0]:
         g = _np.gcd(betas, denoms)  # gcd(|β|, den); β=0 ⇒ den ⇒ reduced 1
         reduced_den = denoms // g
-        scale = lcm_list(int(d) for d in _np.unique(reduced_den))
-        if scale >= _DIRECT_INT64_GUARD:
-            return None
         beta_red = betas // g  # exact: g divides β
-        factor = scale // reduced_den
-        max_transit = int(_np.abs(beta_red).max()) * int(factor.max())
-        max_cost = int(costs.max()) * scale
-        if (
-            max_transit >= _DIRECT_INT64_GUARD
-            or max_cost >= _DIRECT_INT64_GUARD
-        ):
-            return None
-        transit_scaled = -(beta_red * factor)
-        cost_scaled = costs * scale
+        scale = lcm_list(int(d) for d in _np.unique(reduced_den))
+        max_factor = scale // int(reduced_den.min())
+        bound = max(
+            scale,
+            scale * int(abs(costs).max()),
+            max_factor * int(abs(beta_red).max()),
+        )
+        transit_scaled = -(
+            _exact(beta_red, bound) * (scale // _exact(reduced_den, bound))
+        )
+        cost_scaled = _exact(costs, bound) * scale
     else:
         scale = 1
         transit_scaled = cost_scaled = _np.empty(0, dtype=_np.int64)

@@ -17,7 +17,7 @@ engine's (see :mod:`repro.mcrp.batched`), and the K-Iter control flow —
 warm starts, deadlock escalation, optimality tests, round/budget caps,
 engine fallback — is the *same* :class:`KIterMachine` code path the
 sequential driver runs. A payload the fleet cannot take (``"batched":
-False``, an engine without a batched oracle, no numpy) and any payload
+False``, an engine without a batched oracle) and any payload
 hitting a :class:`~repro.exceptions.SolverError` mid-fleet (certification
 failure → the per-graph fallback-engine chain must run) is answered by
 ``solve_kiter_payload`` itself, so the two entry points agree on every
@@ -39,12 +39,15 @@ from repro.exceptions import (
     ReproError,
     SolverError,
 )
-from repro.kperiodic.kiter import KIterMachine, solve_kiter_payload
+from repro.kperiodic.kiter import (
+    KIterMachine,
+    payload_config_error,
+    solve_kiter_payload,
+)
 from repro.kperiodic.solver import annotate_deadlock, finish_min_period
 from repro.mcrp.batched import (
     BATCHED_ORACLES,
     batched_solve_mcrp,
-    batching_available,
 )
 from repro.mcrp.registry import get_engine
 from repro.obs.metrics import REGISTRY as _REGISTRY
@@ -108,13 +111,11 @@ def fleet_eligible(payload: Mapping[str, Any]) -> bool:
     """Can this payload ride the batched lockstep path?
 
     Requires the payload to opt in (``"batched"`` defaults to True), a
-    primary engine with a batched oracle, and numpy. Everything else —
+    primary engine with a batched oracle. Everything else —
     including unknown engines, which must run the per-graph fallback
     chain — goes through :func:`solve_kiter_payload` unchanged.
     """
     if not payload.get("batched", True):
-        return False
-    if not batching_available():
         return False
     engine = payload.get("engine", "ratio-iteration")
     if engine not in BATCHED_ORACLES:
@@ -179,23 +180,11 @@ def solve_fleet_payloads(
         if not fleet_eligible(payload):
             per_graph(job)
             continue
-        update_policy = payload.get("update_policy", "lcm")
-        pipeline = payload.get("pipeline", "direct")
-        config_error = None
-        if update_policy not in ("lcm", "full-q"):
-            config_error = (f"unknown update_policy {update_policy!r} "
-                            "(choose 'lcm' or 'full-q')")
-        elif pipeline not in ("direct", "legacy"):
-            config_error = (f"unknown pipeline {pipeline!r} "
-                            "(choose 'direct' or 'legacy')")
+        config_error = payload_config_error(payload)
         if config_error is not None:
             # Same engine-independent fast failure as the per-graph
             # entry point (wall_time 0.0 included).
-            outcomes[index] = {
-                "status": "ERROR", "error": config_error,
-                "engine_used": "", "fallback": False,
-                "wall_time": 0.0, "worker_pid": pid, "batched": False,
-            }
+            outcomes[index] = {**config_error, "batched": False}
             continue
         if job.graph is None:
             job.graph = CsdfGraph.from_dict(payload["graph"])
@@ -205,9 +194,8 @@ def solve_fleet_payloads(
                 max_rounds=payload.get("max_rounds", 100_000),
                 time_budget=payload.get("time_budget"),
                 initial_k=payload.get("initial_k"),
-                update_policy=update_policy,
+                update_policy=payload.get("update_policy", "lcm"),
                 warm_start=payload.get("warm_start", True),
-                pipeline=pipeline,
             )
         except SolverError:
             per_graph(job)

@@ -138,7 +138,6 @@ class KIterMachine:
         initial_k: Optional[Dict[str, int]] = None,
         update_policy: str = "lcm",
         warm_start: bool = True,
-        pipeline: str = "direct",
         expansion_cache=None,
         repetition: Optional[Dict[str, int]] = None,
         warm_lambda: Optional[Fraction] = None,
@@ -147,7 +146,6 @@ class KIterMachine:
         self.max_rounds = max_rounds
         self.update_policy = update_policy
         self.warm_start = warm_start
-        self.pipeline = pipeline
         self.q = (
             dict(repetition) if repetition is not None
             else cached_repetition_vector(graph)
@@ -162,12 +160,10 @@ class KIterMachine:
         # A DseSession passes its own cache instead: the session owns
         # the invalidation bookkeeping across graph edits, which the
         # weak-key per-object binding cannot express.
-        if expansion_cache is not None and pipeline == "direct":
-            self.cache = expansion_cache
-        else:
-            self.cache = (
-                expansion_cache_for(graph) if pipeline == "direct" else None
-            )
+        self.cache = (
+            expansion_cache if expansion_cache is not None
+            else expansion_cache_for(graph)
+        )
         self.rounds: List[KIterRound] = []
         self.final: Optional[KPeriodicResult] = None
         self._rounds_left = max_rounds
@@ -220,7 +216,7 @@ class KIterMachine:
             seed = self._prev_lambda
         return prepare_min_period(
             self.graph, self.K, repetition=self.q, warm_start=seed,
-            pipeline=self.pipeline, expansion_cache=self.cache,
+            expansion_cache=self.cache,
         )
 
     def absorb(self, result: KPeriodicResult) -> bool:
@@ -307,7 +303,7 @@ class KIterMachine:
             raise SolverError("KIterMachine.finalize() before certification")
         return _finalize(
             self.graph, self.q, self.K, self.final, self.rounds,
-            build_schedule, engine, self.pipeline, self.cache,
+            build_schedule, engine, self.cache,
         )
 
 
@@ -321,7 +317,6 @@ def throughput_kiter(
     initial_k: Optional[Dict[str, int]] = None,
     update_policy: str = "lcm",
     warm_start: bool = True,
-    pipeline: str = "direct",
     expansion_cache=None,
     repetition: Optional[Dict[str, int]] = None,
     warm_lambda: Optional[Fraction] = None,
@@ -367,17 +362,13 @@ def throughput_kiter(
         the seed below the new ``λ*``; a hypothetical overshoot would
         cost extra probes, never exactness (see
         :func:`repro.kperiodic.solver.min_period_for_k`).
-    pipeline:
-        Constraint-graph pipeline per round, passed through to
-        :func:`~repro.kperiodic.solver.min_period_for_k`: ``"direct"``
-        (default) compiles straight from ``(G, K)`` and reuses the
-        graph's per-buffer block cache across rounds — a round whose
-        escalation leaves a task's K unchanged recomputes nothing for
-        that task — while ``"legacy"`` rebuilds the materialized
-        expansion every round (the reference path).
     expansion_cache:
         Explicit :class:`~repro.kperiodic.expansion.ExpansionBlockCache`
-        to use instead of the graph's weak-key-bound one — the
+        to use instead of the graph's weak-key-bound one. Either way
+        each round compiles straight from ``(G, K)`` and reuses the
+        per-buffer blocks across rounds — a round whose escalation
+        leaves a task's K unchanged recomputes nothing for that task.
+        The explicit cache is the
         :class:`repro.dse.DseSession` hook, whose edits create fresh
         graph objects but keep one selectively-invalidated cache.
     repetition:
@@ -401,7 +392,7 @@ def throughput_kiter(
     machine = KIterMachine(
         graph, max_rounds=max_rounds, time_budget=time_budget,
         initial_k=initial_k, update_policy=update_policy,
-        warm_start=warm_start, pipeline=pipeline,
+        warm_start=warm_start,
         expansion_cache=expansion_cache, repetition=repetition,
         warm_lambda=warm_lambda,
     )
@@ -469,7 +460,6 @@ def _finalize(
     rounds: List[KIterRound],
     build_schedule: bool,
     engine: str,
-    pipeline: str = "direct",
     cache=None,
 ) -> KIterResult:
     schedule = None
@@ -478,7 +468,7 @@ def _finalize(
         # rebuild pays only assembly and the longest-path pass.
         final = min_period_for_k(
             graph, K, engine=engine, build_schedule=True, repetition=q,
-            pipeline=pipeline, expansion_cache=cache,
+            expansion_cache=cache,
         )
         schedule = final.schedule
     return KIterResult(
@@ -488,6 +478,28 @@ def _finalize(
         rounds=rounds,
         schedule=schedule,
     )
+
+
+def payload_config_error(
+    payload: Mapping[str, Any]
+) -> Optional[Dict[str, Any]]:
+    """The ``ERROR`` outcome of an engine-independent payload mistake.
+
+    ``None`` when the payload's solver configuration is valid. Shared by
+    :func:`solve_kiter_payload` and the fleet driver so a doomed job
+    fails once, attributed to the caller, instead of re-running the
+    solve per fallback engine.
+    """
+    update_policy = payload.get("update_policy", "lcm")
+    if update_policy in ("lcm", "full-q"):
+        return None
+    return {
+        "status": "ERROR",
+        "error": (f"unknown update_policy {update_policy!r} "
+                  "(choose 'lcm' or 'full-q')"),
+        "engine_used": "", "fallback": False,
+        "wall_time": 0.0, "worker_pid": os.getpid(),
+    }
 
 
 def solve_kiter_payload(
@@ -506,10 +518,9 @@ def solve_kiter_payload(
     ``fallback_engines`` (tried in order on a
     :class:`~repro.exceptions.SolverError`, i.e. a certification
     failure of the primary engine), ``update_policy``, ``initial_k``,
-    ``max_rounds``, ``time_budget``, ``warm_start``, ``pipeline``
-    (``"direct"``/``"legacy"`` constraint-graph pipeline). With the
-    default direct pipeline, a worker's injected ``graph`` carries its
-    expansion block cache across jobs (see
+    ``max_rounds``, ``time_budget``, ``warm_start``; other keys are
+    ignored. A worker's injected ``graph`` carries its expansion block
+    cache across jobs (see
     :func:`repro.kperiodic.expansion.expansion_cache_for`), so repeated
     jobs on one graph skip the useful-pair sweeps entirely.
 
@@ -528,23 +539,9 @@ def solve_kiter_payload(
     engines.extend(payload.get("fallback_engines", ()))
     started = time.perf_counter()
     update_policy = payload.get("update_policy", "lcm")
-    pipeline = payload.get("pipeline", "direct")
-    config_error = None
-    if update_policy not in ("lcm", "full-q"):
-        config_error = (f"unknown update_policy {update_policy!r} "
-                        "(choose 'lcm' or 'full-q')")
-    elif pipeline not in ("direct", "legacy"):
-        config_error = (f"unknown pipeline {pipeline!r} "
-                        "(choose 'direct' or 'legacy')")
+    config_error = payload_config_error(payload)
     if config_error is not None:
-        # Engine-independent config error: fail once, attributed to the
-        # caller, instead of re-running the doomed solve per fallback.
-        return {
-            "status": "ERROR",
-            "error": config_error,
-            "engine_used": "", "fallback": False,
-            "wall_time": 0.0, "worker_pid": os.getpid(),
-        }
+        return config_error
 
     def base(engine: str, position: int) -> Dict[str, Any]:
         return {
@@ -566,7 +563,6 @@ def solve_kiter_payload(
                     initial_k=payload.get("initial_k"),
                     update_policy=update_policy,
                     warm_start=payload.get("warm_start", True),
-                    pipeline=pipeline,
                 )
             except SolverError as exc:
                 # Certification failure: fall through to the next engine.

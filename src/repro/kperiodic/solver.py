@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.analysis.consistency import repetition_vector
-from repro.analysis.constraint_graph import build_constraint_graph
 from repro.exceptions import DeadlockError, SolverError
 from repro.kperiodic.expansion import (
+    ExpandedNodeSpace,
     ExpansionBlockCache,
     compile_expansion,
-    expand_graph,
     expanded_repetition_vector,
     validate_periodicity,
 )
@@ -93,8 +94,7 @@ class PreparedMinPeriod:
     repetition: Dict[str, int]
     lcm_k: int
     bi_graph: BiValuedGraph
-    space: object
-    node_index: Optional[Dict[Tuple[str, int], int]]
+    space: ExpandedNodeSpace
     lower: Fraction
 
 
@@ -104,45 +104,31 @@ def prepare_min_period(
     *,
     repetition: Optional[Dict[str, int]] = None,
     warm_start: Optional[Fraction] = None,
-    pipeline: str = "direct",
     expansion_cache: Optional[ExpansionBlockCache] = None,
 ) -> PreparedMinPeriod:
     """Build the constraint graph and warm-start bound for a fixed K."""
-    if pipeline not in ("direct", "legacy"):
-        raise SolverError(
-            f"unknown pipeline {pipeline!r} (choose 'direct' or 'legacy')"
-        )
     K = validate_periodicity(graph, K)
     if repetition is None:
         repetition = repetition_vector(graph)
     lcm_k = lcm_list(K.values())
 
-    q_tilde = expanded_repetition_vector(repetition, K)
-    node_index: Optional[Dict[Tuple[str, int], int]] = None
-    space = None
-    if pipeline == "direct":
-        # Assembled-graph memo: a warm worker replays the same
-        # deterministic K sequence on every repeat solve of a graph,
-        # so the frozen compiled form is reused outright — the block
-        # cache below only pays off within one escalation run.
-        built = None
-        k_key = None
-        if expansion_cache is not None:
-            k_key = tuple(sorted(K.items()))
-            built = expansion_cache.compiled_for(graph, k_key)
-        if built is None:
-            built = compile_expansion(
-                graph, K, q_tilde, cache=expansion_cache
-            )
-            if built is not None and k_key is not None:
-                expansion_cache.store_compiled(graph, k_key, built)
-        if built is not None:
-            bi_graph, space = built
-    if space is None:
-        expanded = expand_graph(graph, K)
-        bi_graph, node_index = build_constraint_graph(
-            expanded, q_tilde, serialize=True
+    # Assembled-graph memo: a warm worker replays the same deterministic
+    # K sequence on every repeat solve of a graph, so the frozen compiled
+    # form is reused outright — the block cache inside compile_expansion
+    # only pays off within one escalation run.
+    built = None
+    k_key = None
+    if expansion_cache is not None:
+        k_key = tuple(sorted(K.items()))
+        built = expansion_cache.compiled_for(graph, k_key)
+    if built is None:
+        built = compile_expansion(
+            graph, K, expanded_repetition_vector(repetition, K),
+            cache=expansion_cache,
         )
+        if k_key is not None:
+            expansion_cache.store_compiled(graph, k_key, built)
+    bi_graph, space = built
     # Warm start: the serialization self-loop of task t is a real cycle of
     # the constraint graph with exact ratio lcm(K)·q_t·Σ_p d(t_p), so the
     # max over tasks is a certified lower bound on λ* (huge head start —
@@ -162,7 +148,7 @@ def prepare_min_period(
         lower = max(lower, Fraction(warm_start) - Fraction(1, 2))
     return PreparedMinPeriod(
         graph=graph, K=dict(K), repetition=dict(repetition), lcm_k=lcm_k,
-        bi_graph=bi_graph, space=space, node_index=node_index, lower=lower,
+        bi_graph=bi_graph, space=space, lower=lower,
     )
 
 
@@ -205,14 +191,11 @@ def finish_min_period(
         engine_iterations=result.iterations,
     )
     if build_schedule and omega > 0:
-        node_index = prepared.node_index
-        if node_index is None:
-            # Direct pipeline: the dense (task, phase) → node map is
-            # only materialized when a schedule actually needs it.
-            node_index = prepared.space.node_index()
+        # The dense (task, phase) → node map is only materialized when
+        # a schedule actually needs it.
         out.schedule = _extract_schedule(
             prepared.graph, prepared.K, prepared.repetition, bi_graph,
-            node_index, omega_expanded, lcm_k,
+            prepared.space.node_index(), omega_expanded, lcm_k,
         )
     return out
 
@@ -240,7 +223,6 @@ def min_period_for_k(
     build_schedule: bool = True,
     repetition: Optional[Dict[str, int]] = None,
     warm_start: Optional[Fraction] = None,
-    pipeline: str = "direct",
     expansion_cache: Optional[ExpansionBlockCache] = None,
 ) -> KPeriodicResult:
     """Exact minimum period of a K-periodic schedule of ``graph``.
@@ -271,26 +253,18 @@ def min_period_for_k(
         start) and the search restarts, and the SCC champion used for
         pruning is replaced by the first component's certified ratio
         before any probe relies on it.
-    pipeline:
-        ``"direct"`` (default) compiles the constraint graph of ``G̃``
-        straight from ``(G, K)`` with zero per-arc ``Fraction``
-        allocation (:func:`repro.kperiodic.expansion.compile_expansion`)
-        and falls back automatically when that pipeline is unavailable
-        (no numpy, int64 overflow gates); ``"legacy"`` always
-        materializes ``G̃`` and builds the graph through
-        :func:`~repro.analysis.constraint_graph.build_constraint_graph`
-        — the reference oracle the parity suite pins the direct path
-        against. Both produce identical compiled arrays and λ*.
     expansion_cache:
         Optional :class:`~repro.kperiodic.expansion.ExpansionBlockCache`
-        for the direct pipeline — K-Iter passes the graph's cache so
-        rounds recompute only the blocks whose tasks escalated.
+        for the constraint-graph compile
+        (:func:`repro.kperiodic.expansion.compile_expansion`, which
+        builds the graph of ``G̃`` straight from ``(G, K)``, exactly at
+        any magnitude) — K-Iter passes the graph's cache so rounds
+        recompute only the blocks whose tasks escalated.
 
     Raises
     ------
     SolverError
-        If ``engine`` names no registered engine, or ``pipeline`` is
-        neither ``"direct"`` nor ``"legacy"``.
+        If ``engine`` names no registered engine.
     DeadlockError
         If no feasible period exists (the graph deadlocks).
     InconsistentGraphError
@@ -299,10 +273,10 @@ def min_period_for_k(
     info = get_engine(engine)
     prepared = prepare_min_period(
         graph, K, repetition=repetition, warm_start=warm_start,
-        pipeline=pipeline, expansion_cache=expansion_cache,
+        expansion_cache=expansion_cache,
     )
     try:
-        # The registry pipeline solves per strongly connected component
+        # The registry solve runs per strongly connected component
         # with champion pruning when the engine supports it (acyclic
         # regions cost nothing, components that cannot beat the best
         # ratio are rejected by one oracle probe); the utilization bound
@@ -390,17 +364,13 @@ def _potentials_numpy(
     cycle the fixpoint is reached within ``n`` sweeps (longest simple
     path has ``n − 1`` arcs) and one extra quiet sweep proves it.
     Returns ``(dist, True)`` on convergence. ``(None, False)`` means
-    the vectorized pass never engaged (no numpy, too small, or the
-    walk sums could overflow int64); ``(partial, False)`` means the
+    the vectorized pass never engaged (too small, or the walk sums
+    could overflow int64); ``(partial, False)`` means the
     sweep budget ran out first — either way the caller finishes with
     the queue-based relaxation, seeding it with the partial distances
     when there are any (every entry is a real walk value, hence a
     valid intermediate relaxation state).
     """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy present in CI
-        return None, False
     n = compiled.node_count
     if (
         n < _MIN_VECTOR_NODES

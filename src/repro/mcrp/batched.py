@@ -30,7 +30,7 @@ The batch only ever *finds candidate cycles*. Every λ jump is the exact
 per-graph compile scale cancels inside the ratio, which is why mixed
 per-graph scales batch fine), every extracted cycle is re-verified with
 arbitrary-precision integers before it is trusted, and every rare path —
-int64 overflow mid-batch, no numpy, negative costs, a converged λ with
+int64 overflow mid-batch, negative costs, a converged λ with
 no certificate — delegates that one graph to the standard per-graph
 pipeline (:func:`repro.mcrp.registry.solve_mcrp`). Results are therefore
 bit-identical ``Fraction`` λ* to the per-graph path by construction.
@@ -42,10 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-try:  # the whole point of this module is the numpy fast path
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy present in CI
-    _np = None
+import numpy as _np
 
 from repro.exceptions import DeadlockError, ReproError, SolverError
 from repro.mcrp.graph import BiValuedGraph, CycleResult
@@ -78,7 +75,7 @@ class BatchedOutcome:
 
     Exactly one of ``result`` / ``error`` is set. ``batched`` is False
     when the graph was answered by the per-graph delegation path
-    (ineligible engine, no numpy, int64 overflow, rare certification
+    (ineligible engine, int64 overflow, rare certification
     paths) — the answer is identical either way.
     """
 
@@ -111,8 +108,6 @@ class BatchedCompiledGraph:
     """
 
     def __init__(self, compiled_graphs: Sequence) -> None:
-        if _np is None:  # pragma: no cover - callers gate on numpy
-            raise SolverError("BatchedCompiledGraph requires numpy")
         if not compiled_graphs:
             raise SolverError("cannot stack an empty fleet")
         self.graphs = list(compiled_graphs)
@@ -233,11 +228,6 @@ class _GraphState:
     iterations: int = 0
 
 
-def batching_available() -> bool:
-    """True when numpy is importable, i.e. the batched kernels can engage."""
-    return _np is not None
-
-
 def batched_solve_mcrp(
     graphs: Sequence[BiValuedGraph],
     engine: str = "ratio-iteration",
@@ -247,7 +237,7 @@ def batched_solve_mcrp(
 
     Returns one :class:`BatchedOutcome` per input graph, in order.
     Graphs the batched kernel cannot take (engine without a batched
-    oracle, numpy absent, per-graph int64 overflow — at stacking time or
+    oracle, per-graph int64 overflow — at stacking time or
     mid-batch as λ grows — negative costs, or the rare certification
     paths of the per-graph engine) are delegated to the standard
     :func:`~repro.mcrp.registry.solve_mcrp` pipeline, so the function is
@@ -275,7 +265,7 @@ def batched_solve_mcrp(
     if len(bounds) != len(graphs):
         raise SolverError("lower_bounds must align with graphs")
 
-    if _np is None or oracle is None or not info.batched:
+    if oracle is None or not info.batched:
         for i in range(len(graphs)):
             delegate(i, bounds[i])
         return [o for o in outcomes if o is not None]

@@ -29,10 +29,7 @@ from collections import deque
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-try:  # optional numpy fast path for the Jacobi relaxation sweeps
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy present in CI
-    _np = None
+import numpy as _np
 
 from repro.mcrp.graph import BiValuedGraph, CycleResult
 from repro.mcrp.registry import register_engine
@@ -124,14 +121,13 @@ def find_positive_weight_cycle(
 ) -> Optional[List[int]]:
     """An elementary cycle of positive total ``weights``-value, or None.
 
-    Dispatches to a vectorized Jacobi sweep when numpy is available, the
-    instance is big enough to profit, and every possible path sum fits
-    int64; otherwise (or if the fast path cannot certify within its pass
+    Dispatches to a vectorized Jacobi sweep when the instance is big
+    enough to profit and every possible path sum fits int64; otherwise (or if the fast path cannot certify within its pass
     budget) falls back to the exact queue-based relaxation below. Both
     halves only ever return *verified* positive cycles, so the dispatch
     cannot affect correctness.
     """
-    if _np is not None and scaled.node_count >= 64:
+    if scaled.node_count >= 64:
         outcome = _find_cycle_numpy(scaled, weights)
         if outcome is not _FALLBACK:
             return outcome
@@ -163,7 +159,7 @@ def _find_cycle_numpy(scaled: ScaledGraph, weights):
     m = compiled.arc_count
     if m == 0:
         return None
-    if not compiled.ensure_numpy():  # pragma: no cover - numpy gated above
+    if not compiled.ensure_numpy():  # pragma: no cover - arcs checked above
         return _FALLBACK
     if isinstance(weights, list):
         max_w = max(1, max(abs(w) for w in weights))

@@ -31,10 +31,7 @@ from __future__ import annotations
 from array import array
 from typing import Hashable, List, Optional, Sequence, Tuple
 
-try:  # optional vectorized fast paths
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy present in CI
-    _np = None
+import numpy as _np
 
 _INT64_MAX = (1 << 63) - 1
 
@@ -135,15 +132,15 @@ class CompiledGraph:
     def ensure_numpy(self) -> bool:
         """Build (once) the numpy mirrors and sorted segment structures.
 
-        Returns False when numpy is unavailable or the graph has no
-        arcs; ``np_cost``/``np_transit`` additionally stay ``None`` when
+        Returns False when the graph has no arcs;
+        ``np_cost``/``np_transit`` additionally stay ``None`` when
         the scaled weights overflow ``int64`` (the integer fast path is
         then soundly disabled while the float/topology mirrors remain).
         """
         if self._numpy_built:
             return self.np_src is not None
         self._numpy_built = True
-        if _np is None or not self.arc_count:
+        if not self.arc_count:
             return False
         self.np_src = _np.array(self.src, dtype=_np.int64)
         self.np_dst = _np.array(self.dst, dtype=_np.int64)
@@ -226,25 +223,28 @@ class CompiledGraph:
         cost,
         transit,
     ) -> "CompiledGraph":
-        """Assemble a compiled graph directly from int64 numpy arc arrays.
+        """Assemble a compiled graph directly from numpy arc arrays.
 
-        The arithmetic constructor of the direct K-expansion pipeline
-        (and the SCC subgraph slicer): ``cost``/``transit`` are already
-        the integer-scaled values for the given ``scale``, so no
+        The arithmetic constructor of the K-expansion compile (and the
+        SCC subgraph slicer): ``cost``/``transit`` are already the
+        integer-scaled values for the given ``scale``, so no
         ``Fraction`` is ever created and the per-arc Python loop of
         ``__init__`` is replaced by vectorized CSR construction (stable
         argsort by source — per-node arc order is ascending arc index,
         exactly what incremental ``add_arc`` would have produced).
 
-        ``labels`` may be any sequence (including a lazy view); it is
-        stored as given, not copied.
+        ``src``/``dst`` are int64; ``cost``/``transit`` are int64 or,
+        above int64, Python-int object arrays — then ``np_cost`` and
+        ``np_transit`` stay unset, exactly as :func:`compile_graph`
+        leaves them for big Fractions. ``labels`` may be any sequence
+        (including a lazy view); it is stored as given, not copied.
         """
-        if _np is None:  # pragma: no cover - callers gate on numpy
-            raise RuntimeError("from_int64_arrays requires numpy")
         src = _np.ascontiguousarray(src, dtype=_np.int64)
         dst = _np.ascontiguousarray(dst, dtype=_np.int64)
-        cost = _np.ascontiguousarray(cost, dtype=_np.int64)
-        transit = _np.ascontiguousarray(transit, dtype=_np.int64)
+        if cost.dtype != object:
+            cost = _np.ascontiguousarray(cost, dtype=_np.int64)
+        if transit.dtype != object:
+            transit = _np.ascontiguousarray(transit, dtype=_np.int64)
         m = int(src.shape[0])
 
         self = cls.__new__(cls)
@@ -261,8 +261,13 @@ class CompiledGraph:
         self.max_abs_cost = int(_np.abs(cost).max()) if m else 0
         self.max_abs_transit = int(_np.abs(transit).max()) if m else 0
         inv = 1.0 / scale
-        self.cost_float = (cost * inv).tolist()
-        self.transit_float = (transit * inv).tolist()
+        if cost.dtype == object or transit.dtype == object:
+            # Python int × float, exactly as ``__init__`` computes it.
+            self.cost_float = [c * inv for c in self.cost]
+            self.transit_float = [t * inv for t in self.transit]
+        else:
+            self.cost_float = (cost * inv).tolist()
+            self.transit_float = (transit * inv).tolist()
 
         order = _np.argsort(src, kind="stable")
         counts = _np.bincount(src, minlength=node_count) if m else (

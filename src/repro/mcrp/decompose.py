@@ -26,10 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-try:  # numpy accelerates the subgraph slicing; optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
+import numpy as _np
 
 from repro.exceptions import DeadlockError
 from repro.mcrp.bellman import ScaledGraph, find_positive_cycle
@@ -147,12 +144,11 @@ def _subgraph_compiled(compiled, graph, nodes):
     is kept (possibly non-minimal for the component — cycle ratios are
     invariant under common scaling). Arc order matches the Python
     path: concatenated CSR out-slices in ``nodes`` order. Returns
-    ``None`` when numpy/the int64 mirrors are unavailable or the graph
+    ``None`` when the int64 mirrors are unavailable or the graph
     is too small to pay for the array round-trips.
     """
     if (
-        _np is None
-        or compiled.arc_count < _MIN_SLICE_ARCS
+        compiled.arc_count < _MIN_SLICE_ARCS
         or not compiled.ensure_numpy()
         or compiled.np_cost is None
     ):

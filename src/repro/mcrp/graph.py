@@ -183,8 +183,8 @@ class ScaledFractionView(Sequence):
 class FrozenBiValuedGraph(BiValuedGraph):
     """A read-only :class:`BiValuedGraph` assembled around a compiled form.
 
-    The direct K-expansion pipeline builds the
-    :class:`~repro.mcrp.compiled.CompiledGraph` arithmetically (int64
+    The K-expansion compile builds the
+    :class:`~repro.mcrp.compiled.CompiledGraph` arithmetically (integer
     arrays, no per-arc Fractions) and wraps it in this class so every
     existing consumer — engines, SCC sweep, potentials, certification —
     sees the ordinary ``BiValuedGraph`` interface. ``arc_cost`` and

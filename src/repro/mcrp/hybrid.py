@@ -15,7 +15,7 @@ The production fast path of the compiled core:
    exact ratio re-seeds the ascending exact iteration, which refines to
    ``λ*`` with full certificates.
 
-On graphs too small for the array set-up to pay (or without numpy) the
+On graphs too small for the array set-up to pay the
 engine skips the prefilter and is plain exact ratio iteration — the
 two-stage pipeline engages exactly where it wins.
 
@@ -33,10 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy present in CI
-    _np = None
+import numpy as _np
 
 from repro.exceptions import DeadlockError, SolverError
 from repro.mcrp.bellman import ScaledGraph, find_positive_cycle
@@ -81,8 +78,7 @@ def max_cycle_ratio_hybrid(
     if compiled.has_negative_cost:
         raise SolverError("hybrid engine requires non-negative arc costs")
     if (
-        _np is None
-        or compiled.node_count < _MIN_PREFILTER_NODES
+        compiled.node_count < _MIN_PREFILTER_NODES
         or not compiled.ensure_numpy()
     ):
         return max_cycle_ratio(graph, lower_bound=lower_bound)

@@ -22,7 +22,7 @@ Two table implementations share the contract:
   results;
 * the **pure-Python reference table** (:func:`_best_mean_cycle_python`),
   which also serves as the arbitrary-precision fallback when the scaled
-  weights overflow the int64 gate (or numpy is absent).
+  weights overflow the int64 gate.
 
 Three consumers share the core:
 
@@ -56,10 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-try:  # optional vectorized table
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy present in CI
-    _np = None
+import numpy as _np
 
 from repro.exceptions import SolverError
 from repro.mcrp.graph import BiValuedGraph, CycleResult
@@ -114,7 +111,7 @@ def _vector_gate(compiled, weight_bound: int) -> bool:
     cross products ``|D_n − D_k| · (n − k) ≤ 2·n²·max|w|`` do too.
     """
     n = compiled.node_count
-    if _np is None or n < _MIN_VECTOR_NODES or compiled.arc_count == 0:
+    if n < _MIN_VECTOR_NODES or compiled.arc_count == 0:
         return False
     if (n + 1) * n * 16 > _MAX_TABLE_BYTES:
         return False
@@ -412,8 +409,7 @@ def max_cycle_ratio_karp_python(
 
     Bit-identical results to the ``karp`` engine by construction — the
     two share everything but the table implementation — which makes
-    this the ablation baseline for the vectorization claim and the
-    fallback of record on platforms without numpy.
+    this the ablation baseline for the vectorization claim.
     """
     from repro.mcrp.ratio_iteration import max_cycle_ratio
 

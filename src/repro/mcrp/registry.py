@@ -181,10 +181,8 @@ def _load_plugin_engines() -> None:
                 f"failed to import engine plugin module {name!r} "
                 f"(from ${PLUGIN_ENV_VAR}): {exc}"
             ) from exc
-    try:
-        from importlib.metadata import entry_points
-    except ImportError:  # pragma: no cover - py<3.8
-        return
+    from importlib.metadata import entry_points
+
     try:
         points = entry_points(group=PLUGIN_ENTRY_POINT_GROUP)
     except TypeError:  # pragma: no cover - py<3.10 dict API

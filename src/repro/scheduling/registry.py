@@ -322,16 +322,13 @@ def schedule_context(
             "throughput (Ω = 0): there is no finite-period K-periodic "
             "pattern to schedule"
         )
-    node_index = prepared.node_index
-    if node_index is None:
-        node_index = prepared.space.node_index()
     return ScheduleContext(
         graph=graph,
         K=dict(prepared.K),
         repetition=dict(prepared.repetition),
         lcm_k=prepared.lcm_k,
         bi_graph=prepared.bi_graph,
-        node_index=dict(node_index),
+        node_index=prepared.space.node_index(),
         omega=result.omega,
         omega_expanded=result.omega_expanded,
         critical_labels=list(result.critical_nodes),

@@ -7,7 +7,7 @@ deserialized :class:`~repro.model.graph.CsdfGraph` objects keyed by the
 job's graph digest (``_cached_graph``), so a batch probing one graph
 under several engines or K policies parses it once per worker. The
 warm-started worker state goes further than parsing: the expansion
-block cache of the direct K-expansion pipeline
+block cache of the K-expansion compile
 (:func:`repro.kperiodic.expansion.expansion_cache_for`) is bound to the
 graph *object*, so every job a worker solves on a cached graph reuses
 the ``(buffer, K_src, K_dst)`` arc blocks of earlier jobs — the

@@ -22,14 +22,10 @@ from repro.mcrp import (
     get_engine,
     solve_mcrp,
 )
-from repro.mcrp.batched import BATCHED_ORACLES, batching_available
+from repro.mcrp.batched import BATCHED_ORACLES
 from repro.kperiodic.fleet import fleet_eligible, solve_fleet_payloads
 from repro.kperiodic.kiter import solve_kiter_payload
 from repro.model.builder import sdf
-
-pytestmark = pytest.mark.skipif(
-    not batching_available(), reason="batched kernels require numpy"
-)
 
 ENGINES = sorted(BATCHED_ORACLES)
 FLEET_DIR = Path(__file__).parent / "data" / "fleet"

@@ -1,12 +1,13 @@
-"""Parity and cache suite for the direct (G, K) → CompiledGraph pipeline.
+"""Parity and cache suite for the (G, K) → CompiledGraph compile.
 
-The direct pipeline (:func:`repro.kperiodic.expansion.compile_expansion`)
-must be indistinguishable from the legacy ``expand_graph`` +
-``build_constraint_graph`` reference: identical compiled
-``scale``/``cost``/``transit``/``src``/``dst`` arrays (not just equal
-λ*), identical labels and node index, identical certified periods and
-schedules. The block cache must hit exactly when ``(buffer, K_src,
-K_dst)`` is unchanged and respect its LRU cell budget.
+:func:`repro.kperiodic.expansion.compile_expansion` must be
+indistinguishable from the independent reference in
+``tests/reference_expansion.py`` (materialized ``G̃``, one ``Fraction``
+per arc): identical compiled ``scale``/``cost``/``transit``/``src``/
+``dst`` arrays (not just equal λ*), identical labels and node index,
+identical certified periods — at int64 magnitudes and above them. The
+block cache must hit exactly when ``(buffer, K_src, K_dst)`` is
+unchanged and respect its LRU cell budget.
 """
 
 import random
@@ -15,23 +16,22 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from repro.analysis.consistency import repetition_vector
-from repro.analysis.constraint_graph import (
-    build_constraint_graph,
-    merge_parallel_candidates,
-)
+from repro.analysis.constraint_graph import build_constraint_graph
 from repro.analysis.precedence import (
     expanded_useful_pair_arrays,
     useful_pair_arrays,
+    useful_pairs,
 )
-from repro.exceptions import SolverError
+from repro.generators.csdf_apps import csdf_applications
 from repro.kperiodic.expansion import (
     ExpansionBlockCache,
-    _duplicate,
     compile_expansion,
-    expand_graph,
     expanded_repetition_vector,
     expansion_cache_for,
+    merge_parallel_candidates,
 )
 from repro.kperiodic.kiter import solve_kiter_payload, throughput_kiter
 from repro.kperiodic.solver import min_period_for_k
@@ -39,8 +39,12 @@ from repro.mcrp.graph import FrozenBiValuedGraph, ScaledFractionView
 from repro.model import Buffer, CsdfGraph, Task
 
 from tests.conftest import golden_corpus_cases, make_random_live_graph
-
-np = pytest.importorskip("numpy")
+from tests.reference_expansion import (
+    duplicate,
+    reference_constraint_graph,
+    reference_expansion,
+    reference_min_period,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -49,27 +53,23 @@ DATA = Path(__file__).parent / "data"
 # Helpers
 # ----------------------------------------------------------------------
 def assert_compiled_parity(graph, K):
-    """Direct and legacy pipelines must produce identical compiled arrays."""
+    """The compile must reproduce the reference graph's arrays exactly."""
     q = repetition_vector(graph)
-    q_tilde = expanded_repetition_vector(q, K)
-    expanded = expand_graph(graph, K)
-    legacy, legacy_index = build_constraint_graph(
-        expanded, q_tilde, serialize=True
+    reference, reference_index = reference_expansion(graph, K, q)
+    got_graph, space = compile_expansion(
+        graph, K, expanded_repetition_vector(q, K)
     )
-    built = compile_expansion(graph, K, q_tilde)
-    assert built is not None
-    direct, space = built
-    ref = legacy.compile()
-    got = direct.compile()
+    ref = reference.compile()
+    got = got_graph.compile()
     assert got.scale == ref.scale
     assert got.src == ref.src
     assert got.dst == ref.dst
     assert got.cost == ref.cost
     assert got.transit == ref.transit
     assert got.out_arcs == ref.out_arcs
-    assert list(direct.labels) == list(legacy.labels)
-    assert space.node_index() == legacy_index
-    return direct, legacy
+    assert list(got_graph.labels) == list(reference.labels)
+    assert space.node_index() == reference_index
+    return got_graph, reference
 
 
 def random_k_vectors(graph, rng):
@@ -98,8 +98,8 @@ def test_expanded_pair_arrays_match_materialized_expansion():
         k_src, k_dst = rng.randint(1, 5), rng.randint(1, 5)
         materialized = Buffer(
             "b", "s", "t",
-            _duplicate(base.production, k_src),
-            _duplicate(base.consumption, k_dst),
+            duplicate(base.production, k_src),
+            duplicate(base.consumption, k_dst),
             base.initial_tokens,
         )
         ref = useful_pair_arrays(materialized)
@@ -117,7 +117,7 @@ def test_all_ones_self_loop_closed_form_matches_generic_sweep():
                 base = Buffer("loop", "t", "t", ones, ones, m0)
                 materialized = Buffer(
                     "loop", "t", "t",
-                    _duplicate(ones, k), _duplicate(ones, k), m0,
+                    duplicate(ones, k), duplicate(ones, k), m0,
                 )
                 ref = useful_pair_arrays(materialized)
                 got = expanded_useful_pair_arrays(base, k, k)
@@ -164,51 +164,28 @@ def test_parity_along_kiter_escalation_sequence():
 
 
 def test_min_period_direct_matches_legacy_including_schedule():
+    """min_period_for_k against a solve of the reference graph."""
     for seed in (0, 4, 9):
         graph = make_random_live_graph(seed)
         q = repetition_vector(graph)
         K = {t: min(q[t], 2) for t in q}
-        direct = min_period_for_k(graph, K, pipeline="direct")
-        legacy = min_period_for_k(graph, K, pipeline="legacy")
-        assert direct.omega == legacy.omega
-        assert direct.omega_expanded == legacy.omega_expanded
-        assert direct.graph_nodes == legacy.graph_nodes
-        assert direct.graph_arcs == legacy.graph_arcs
-        if legacy.schedule is not None:
-            assert direct.schedule.starts == legacy.schedule.starts
-            assert direct.schedule.task_periods == legacy.schedule.task_periods
-            direct.schedule.verify(graph)
+        result = min_period_for_k(graph, K)
+        reference, _ = reference_expansion(graph, K, q)
+        assert result.omega == reference_min_period(graph, K)
+        assert result.graph_nodes == reference.node_count
+        assert result.graph_arcs == reference.arc_count
+        if result.omega > 0:
+            result.schedule.verify(graph)
 
 
 def test_kiter_periods_identical_across_pipelines():
+    """K-Iter's certified period against the reference at its K and q."""
     for seed in (1, 3, 7):
         graph = make_random_live_graph(seed)
-        direct = throughput_kiter(graph, pipeline="direct")
-        legacy = throughput_kiter(graph, pipeline="legacy")
-        assert direct.period == legacy.period
-        assert direct.K == legacy.K
-
-
-def test_invalid_pipeline_rejected():
-    graph = make_random_live_graph(0)
-    q = repetition_vector(graph)
-    with pytest.raises(SolverError, match="pipeline"):
-        min_period_for_k(graph, {t: 1 for t in q}, pipeline="warp")
-
-
-def test_direct_pipeline_falls_back_without_numpy(monkeypatch):
-    import repro.kperiodic.expansion as expansion
-
-    graph = make_random_live_graph(2)
-    q = repetition_vector(graph)
-    K = {t: 1 for t in q}
-    reference = min_period_for_k(graph, K, pipeline="legacy")
-    monkeypatch.setattr(expansion, "_np", None)
-    assert compile_expansion(
-        graph, K, expanded_repetition_vector(q, K)
-    ) is None
-    fallback = min_period_for_k(graph, K, pipeline="direct")
-    assert fallback.omega == reference.omega
+        result = throughput_kiter(graph)
+        assert result.period == reference_min_period(graph, result.K)
+        q = repetition_vector(graph)
+        assert result.period == reference_min_period(graph, q)
 
 
 # ----------------------------------------------------------------------
@@ -289,23 +266,15 @@ def test_payload_worker_path_shares_blocks_per_graph_object():
     assert cache.compiled_hits > 0
 
 
-def test_payload_rejects_unknown_pipeline():
+def test_payload_ignores_pipeline_key():
+    """``pipeline`` is no payload option: ignored like any unknown key."""
     graph = make_random_live_graph(0)
-    outcome = solve_kiter_payload(
-        {"graph": graph.to_dict(), "pipeline": "warp"}
-    )
-    assert outcome["status"] == "ERROR"
-    assert "pipeline" in outcome["error"]
-
-
-def test_payload_legacy_pipeline_runs():
-    graph = make_random_live_graph(0)
-    direct = solve_kiter_payload({"graph": graph.to_dict()})
-    legacy = solve_kiter_payload(
+    plain = solve_kiter_payload({"graph": graph.to_dict()})
+    keyed = solve_kiter_payload(
         {"graph": graph.to_dict(), "pipeline": "legacy"}
     )
-    assert direct["status"] == legacy["status"] == "OK"
-    assert direct["period"] == legacy["period"]
+    assert plain["status"] == keyed["status"] == "OK"
+    assert plain["period"] == keyed["period"]
 
 
 # ----------------------------------------------------------------------
@@ -343,20 +312,26 @@ def test_merge_keeps_first_occurrence_order():
     assert o_beta.tolist()[0] == 9  # min H = max β at equal denominators
 
 
-def test_merge_overflow_returns_none():
+def test_merge_above_int64_keeps_exact_survivor():
+    # β·(lcm/den) = (2**61+1)·5 leaves int64: the merge switches to
+    # Python ints and still keeps the exact minimal H per node pair.
     big = (1 << 61) + 1
     srcs = np.array([0, 0], dtype=np.int64)
     dsts = np.array([1, 1], dtype=np.int64)
     costs = np.array([1, 1], dtype=np.int64)
     betas = np.array([big, 3], dtype=np.int64)
     dens = np.array([7, 5], dtype=np.int64)  # lcm 35, factors 5 and 7
-    assert merge_parallel_candidates(srcs, dsts, costs, betas, dens, 2) is None
+    o_src, o_dst, o_cost, o_beta, o_den = merge_parallel_candidates(
+        srcs, dsts, costs, betas, dens, 2
+    )
+    assert o_src.tolist() == [0] and o_dst.tolist() == [1]
+    assert o_cost.tolist() == [1]
+    assert o_beta.tolist() == [big * 5] and o_den.tolist() == [35]
+    assert Fraction(-int(o_beta[0]), int(o_den[0])) == Fraction(-big, 7)
 
 
 def test_build_constraint_graph_merge_matches_streaming_reference():
-    """The legacy builder must be byte-identical through the new merge."""
-    from repro.analysis import constraint_graph as cg
-
+    """build_constraint_graph must be byte-identical to the reference."""
     g = CsdfGraph("parallel")
     g.add_task(Task("A", (1, 2)))
     g.add_task(Task("B", (3,)))
@@ -365,33 +340,58 @@ def test_build_constraint_graph_merge_matches_streaming_reference():
     g.add_buffer(Buffer("aa", "A", "A", (1, 0), (0, 1), 1))
     g.add_buffer(Buffer("ba", "B", "A", (3,), (2, 1), 4))
     for merge in (True, False):
-        vectorized, _ = build_constraint_graph(g, merge_parallel=merge)
-        work = g.with_serialization_loops()
-        rep = repetition_vector(work)
-        from repro.mcrp.graph import BiValuedGraph
-
-        labels = []
-        base_of = {}
-        pair_count = {}
-        for t in work.tasks():
-            base_of[t.name] = len(labels)
-            labels.extend((t.name, p) for p in range(1, t.phase_count + 1))
-        for b in work.buffers():
-            key = (b.source, b.target)
-            pair_count[key] = pair_count.get(key, 0) + 1
-        reference = BiValuedGraph(len(labels), labels=labels)
-        cg._build_arcs_streaming(
-            work, rep, reference, base_of, pair_count, merge
+        built, index = build_constraint_graph(g, merge_parallel=merge)
+        reference, ref_index = reference_constraint_graph(
+            g, merge_parallel=merge
         )
-        assert vectorized.arc_src == reference.arc_src
-        assert vectorized.arc_dst == reference.arc_dst
-        assert list(vectorized.arc_cost) == list(reference.arc_cost)
-        assert list(vectorized.arc_transit) == list(reference.arc_transit)
+        assert index == ref_index
+        assert built.arc_src == reference.arc_src
+        assert built.arc_dst == reference.arc_dst
+        assert list(built.arc_cost) == list(reference.arc_cost)
+        assert list(built.arc_transit) == list(reference.arc_transit)
         ref_c = reference.compile()
-        got_c = vectorized.compile()
+        got_c = built.compile()
         assert got_c.scale == ref_c.scale
         assert got_c.cost == ref_c.cost
         assert got_c.transit == ref_c.transit
+
+
+# ----------------------------------------------------------------------
+# Magnitudes above int64
+# ----------------------------------------------------------------------
+def test_echo_scale2_compiles_above_int64():
+    """Table 2's Echo at scale 2 has a >2**62 global scale at K ≡ 1."""
+    graph = dict(csdf_applications(2))["Echo"]()
+    q = repetition_vector(graph)
+    K = {t: 1 for t in q}
+    got_graph, reference = assert_compiled_parity(graph, K)
+    compiled = got_graph.compile()
+    assert compiled.scale >= 1 << 62
+    assert compiled.ensure_numpy() and compiled.np_cost is None
+    result = min_period_for_k(graph, K, build_schedule=False)
+    assert result.omega == reference_min_period(graph, K)
+
+
+def test_huge_marking_and_durations_compile_exactly():
+    """Rates, marking and durations past int64 stay exact end to end."""
+    huge = 1 << 70
+    g = CsdfGraph("huge")
+    g.add_task(Task("A", (huge, 1)))
+    g.add_task(Task("B", (3,)))
+    g.add_buffer(Buffer("ab", "A", "B", (huge, 1), (huge + 1,), 0))
+    g.add_buffer(Buffer("ba", "B", "A", (huge + 1,), (1, huge), huge * 3))
+    g.add_buffer(Buffer("bb", "B", "B", (1,), (1,), huge))
+    for b in g.with_serialization_loops().buffers():
+        p0s, pp0s, betas = (a.tolist() for a in useful_pair_arrays(b))
+        assert [(p0 + 1, pp0 + 1, beta) for p0, pp0, beta in
+                zip(p0s, pp0s, betas)] == list(useful_pairs(b))
+    q = repetition_vector(g)
+    for K in ({"A": 1, "B": 1}, {"A": 2, "B": 3}):
+        assert_compiled_parity(g, K)
+        result = min_period_for_k(g, K)
+        assert result.omega == reference_min_period(g, K)
+        result.schedule.verify(g)
+    assert throughput_kiter(g).period == reference_min_period(g, q)
 
 
 # ----------------------------------------------------------------------

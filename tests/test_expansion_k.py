@@ -5,8 +5,10 @@ import pytest
 from repro.analysis import repetition_vector
 from repro.exceptions import ModelError
 from repro.generators.paper import figure2_graph
-from repro.kperiodic import expand_graph, expanded_repetition_vector
+from repro.kperiodic import expanded_repetition_vector
 from repro.model import csdf, sdf
+
+from tests.reference_expansion import expand_graph
 
 
 class TestExpandGraph:

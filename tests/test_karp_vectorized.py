@@ -34,6 +34,7 @@ from repro.mcrp import (
     solve_mcrp,
 )
 from tests.conftest import golden_corpus_cases, make_random_live_graph
+from tests.reference_expansion import reference_expansion
 
 GOLDEN = golden_corpus_cases()
 DATA_DIR = __import__("pathlib").Path(__file__).parent / "data"
@@ -153,16 +154,11 @@ def test_karp_golden_corpus_parity(filename, period, force_vectorized):
 # numpy longest-path potentials
 # ----------------------------------------------------------------------
 def _expanded_bi_graph(graph):
+    """The reference constraint graph of the full (K = q) expansion."""
     from repro.analysis import repetition_vector
-    from repro.kperiodic.expansion import (
-        expand_graph,
-        expanded_repetition_vector,
-    )
 
     q = repetition_vector(graph)
-    expanded = expand_graph(graph, q)
-    q_tilde = expanded_repetition_vector(q, q)
-    bi, _ = build_constraint_graph(expanded, q_tilde, serialize=True)
+    bi, _ = reference_expansion(graph, q, q)
     return bi
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.analysis import is_live, repetition_vector
 from repro.baselines import throughput_symbolic
 from repro.exceptions import DeadlockError
-from repro.kperiodic import expand_graph, min_period_for_k, throughput_kiter
+from repro.kperiodic import min_period_for_k, throughput_kiter
 from repro.mcrp import (
     BiValuedGraph,
     max_cycle_ratio,
@@ -32,6 +32,7 @@ from repro.mcrp import (
 from repro.model import Buffer, CsdfGraph, Task
 from repro.utils.rational import ceil_to_multiple, floor_to_multiple
 from tests.conftest import make_random_live_graph
+from tests.reference_expansion import expand_graph
 
 LIMITED = settings(
     max_examples=40,
