@@ -1,9 +1,10 @@
 """Ablation A4: direct (G, K) → CompiledGraph vs the legacy per-round rebuild.
 
 K-Iter rebuilds the K-expanded constraint graph every round. The legacy
-rebuild — kept as the test oracle in ``tests/reference_expansion.py`` —
-re-materializes ``G̃`` as a ``CsdfGraph``, re-enumerates Theorem 2's
-useful pairs from scratch and allocates one ``Fraction`` per arc; the
+rebuild (``_legacy_rebuild``: the builder K-Iter used before the direct
+compile) re-materializes ``G̃`` as a ``CsdfGraph``, re-enumerates
+Theorem 2's useful pairs from scratch and allocates one ``Fraction`` per
+arc; the
 product compile (:func:`repro.kperiodic.expansion.compile_expansion`)
 works straight from ``(G, K)`` and caches per-buffer arc blocks under
 ``(buffer, K_src, K_dst)``, so a *round* — where most tasks' K entries
@@ -23,27 +24,28 @@ counters.
 
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import write_artifact
 from repro.analysis.consistency import repetition_vector
+from repro.analysis.precedence import useful_pair_arrays
 from repro.io import load_graph
 from repro.kperiodic.expansion import (
     ExpansionBlockCache,
     compile_expansion,
     expanded_repetition_vector,
     expansion_cache_for,
+    merge_parallel_candidates,
 )
 from repro.kperiodic.kiter import throughput_kiter
 from repro.kperiodic.solver import min_period_for_k
-from tests.reference_expansion import (
-    expand_graph,
-    reference_constraint_graph,
-    reference_min_period,
-)
+from repro.mcrp.graph import BiValuedGraph
+from tests.reference_expansion import expand_graph, reference_min_period
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 try:
@@ -69,9 +71,42 @@ def _corpus_by_expanded_size():
 
 
 def _legacy_rebuild(graph, K, q_tilde):
-    expanded = expand_graph(graph, K)
-    bi, _ = reference_constraint_graph(expanded, q_tilde, serialize=True)
-    bi.compile()  # the baseline rebuild includes the compile
+    """The per-round rebuild K-Iter paid before the direct compile.
+
+    Materialize ``G̃``, run the numpy useful-pair sweep per buffer, merge
+    parallel arcs with the lexsort pass, allocate one ``Fraction`` per
+    arc and compile: the gate's fixed baseline. The parity oracle
+    ``tests.reference_expansion.reference_constraint_graph`` is not
+    used here — it enumerates pairs in pure Python and would inflate the
+    ratio.
+    """
+    work = expand_graph(graph, K).with_serialization_loops()
+    base_of, labels = {}, []
+    for t in work.tasks():
+        base_of[t.name] = len(labels)
+        labels.extend((t.name, p) for p in range(1, t.phase_count + 1))
+    parts = []
+    for b in work.buffers():
+        p0s, pp0s, betas = useful_pair_arrays(b)
+        durations = np.asarray(work.task(b.source).durations, dtype=np.int64)
+        denom = q_tilde[b.source] * b.total_production
+        parts.append((p0s + base_of[b.source], pp0s + base_of[b.target],
+                      durations[p0s], betas,
+                      np.full(p0s.shape[0], denom, dtype=np.int64)))
+    srcs, dsts, costs, betas, denoms = (np.concatenate(c) for c in zip(*parts))
+    pairs = Counter((b.source, b.target) for b in work.buffers())
+    if max(pairs.values()) > 1:
+        srcs, dsts, costs, betas, denoms = merge_parallel_candidates(
+            srcs, dsts, costs, betas, denoms, len(labels)
+        )
+    bi = BiValuedGraph(len(labels), labels=labels)
+    bi.extend_arcs(
+        srcs.tolist(),
+        dsts.tolist(),
+        [Fraction(c) for c in costs.tolist()],
+        [Fraction(-b, d) for b, d in zip(betas.tolist(), denoms.tolist())],
+    )
+    bi.compile()
     return bi
 
 

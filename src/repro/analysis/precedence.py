@@ -34,7 +34,11 @@ import numpy as _np
 
 from repro.model.buffer import Buffer
 from repro.model.graph import CsdfGraph
-from repro.utils.rational import ceil_to_multiple, floor_to_multiple
+from repro.utils.rational import (
+    ceil_to_multiple,
+    exact_int_array,
+    floor_to_multiple,
+)
 
 #: Row-block budget of the vectorized O(ϕ·ϕ') useful-pair sweeps, in
 #: int64 matrix cells: each candidate block materializes at most
@@ -46,19 +50,18 @@ from repro.utils.rational import ceil_to_multiple, floor_to_multiple
 PAIR_SWEEP_BLOCK_CELLS = 8 * 1024 * 1024
 
 
-def _sweep_dtype(buffer: Buffer, k_src: int, k_dst: int):
-    """int64 when every ``Q``/``α``/``β`` of the sweep fits, else object.
+def _sweep_bound(buffer: Buffer, k_src: int, k_dst: int) -> int:
+    """A bound on every ``|Q|``, ``|α|`` and ``|β|`` of the sweep.
 
-    ``|Q|``, ``|α|`` and ``|β|`` are at most the two expanded totals
-    plus the marking plus one rounding step (≤ either total), so twice
-    the totals plus ``|M0|`` bounds them; past ``2**62`` the sweep runs
-    on Python-int object arrays and stays exact.
+    Each is at most the two expanded totals plus the marking plus one
+    rounding step (≤ either total), so twice the totals plus ``|M0|``
+    bounds them; past :data:`~repro.utils.rational.INT64_GUARD` the
+    sweep runs on Python-int object arrays and stays exact.
     """
-    bound = (
+    return (
         2 * (k_src * buffer.total_production + k_dst * buffer.total_consumption)
         + abs(buffer.initial_tokens)
     )
-    return _np.int64 if bound < (1 << 62) else object
 
 
 @dataclass(frozen=True)
@@ -167,9 +170,9 @@ def useful_pair_arrays(buffer: Buffer):
     Large producers are processed in row blocks to bound peak memory at
     ``block × ϕ(consumer)`` matrix cells.
     """
-    dtype = _sweep_dtype(buffer, 1, 1)
-    production = _np.asarray(buffer.production, dtype=dtype)
-    consumption = _np.asarray(buffer.consumption, dtype=dtype)
+    bound = _sweep_bound(buffer, 1, 1)
+    production = exact_int_array(buffer.production, bound)
+    consumption = exact_int_array(buffer.consumption, bound)
     return _pair_sweep(
         production,
         consumption,
@@ -236,9 +239,9 @@ def expanded_useful_pair_arrays(buffer: Buffer, k_src: int, k_dst: int):
     """
     from math import gcd
 
-    dtype = _sweep_dtype(buffer, k_src, k_dst)
-    production = _np.asarray(buffer.production, dtype=dtype)
-    consumption = _np.asarray(buffer.consumption, dtype=dtype)
+    bound = _sweep_bound(buffer, k_src, k_dst)
+    production = exact_int_array(buffer.production, bound)
+    consumption = exact_int_array(buffer.consumption, bound)
     if (
         k_src == k_dst
         and production.shape == consumption.shape
@@ -256,14 +259,14 @@ def expanded_useful_pair_arrays(buffer: Buffer, k_src: int, k_dst: int):
         n = k_src * production.shape[0]
         p = _np.arange(n, dtype=_np.int64)
         pp = (p + buffer.initial_tokens % n) % n
-        return p, pp, _np.asarray(pp - p, dtype=dtype) - buffer.initial_tokens
+        return p, pp, exact_int_array(pp - p, bound) - buffer.initial_tokens
     i_b = buffer.total_production
     o_b = buffer.total_consumption
     prod_prefix = _np.tile(_np.cumsum(production), k_src) + i_b * _np.repeat(
-        _np.arange(k_src, dtype=dtype), production.shape[0]
+        _np.arange(k_src, dtype=production.dtype), production.shape[0]
     )
     cons_prefix = _np.tile(_np.cumsum(consumption), k_dst) + o_b * _np.repeat(
-        _np.arange(k_dst, dtype=dtype), consumption.shape[0]
+        _np.arange(k_dst, dtype=consumption.dtype), consumption.shape[0]
     )
     return _pair_sweep(
         _np.tile(production, k_src),

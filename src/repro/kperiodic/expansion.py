@@ -41,7 +41,7 @@ from repro.mcrp.compiled import CompiledGraph
 from repro.mcrp.graph import FrozenBiValuedGraph
 from repro.model.graph import CsdfGraph
 from repro.obs.metrics import REGISTRY as _REGISTRY
-from repro.utils.rational import lcm_list
+from repro.utils.rational import exact_int_array, lcm_list
 
 # Pre-bound registry cells: the block cache is consulted once per
 # buffer per K-Iter round, so each event costs one attribute load and
@@ -53,32 +53,6 @@ _BLOCK_EVICTION = _BLOCK_EVENTS.labels(event="eviction")
 _COMPILED_EVENTS = _REGISTRY.counter("repro_expansion_compiled_total")
 _COMPILED_HIT = _COMPILED_EVENTS.labels(event="hit")
 _COMPILED_MISS = _COMPILED_EVENTS.labels(event="miss")
-
-#: int64 head-room guard shared by every magnitude gate of the
-#: compile: whenever an intermediate product could reach this bound the
-#: affected arrays switch to ``dtype=object`` (Python ints).
-_INT64_GUARD = 1 << 62
-
-
-def _exact(array, bound: int):
-    """``array`` as-is while ``bound`` stays inside int64, else widened.
-
-    ``bound`` must dominate every magnitude the caller's next arithmetic
-    step can produce; above :data:`_INT64_GUARD` the array becomes a
-    Python-int object array, on which the same numpy expressions
-    (``*``, ``//``, ``np.gcd``, ``minimum.reduceat``, ``unique``) stay
-    exact.
-    """
-    if bound < _INT64_GUARD or array.dtype == object:
-        return array
-    return array.astype(object)
-
-
-def _int_array(values: Sequence[int]):
-    """Python ints as an int64 array, or an object array past the guard."""
-    wide = max(map(abs, values), default=0) >= _INT64_GUARD
-    return _np.asarray(values, dtype=object if wide else _np.int64)
-
 
 def validate_periodicity(graph: CsdfGraph, K: Mapping[str, int]) -> Dict[str, int]:
     """Check that ``K`` maps every task to a positive integer."""
@@ -479,8 +453,8 @@ def merge_parallel_candidates(srcs, dsts, costs, betas, denoms, node_count):
     common = lcm_list(int(d) for d in _np.unique(denoms))
     max_factor = common // int(denoms.min())
     bound = max(common, int(abs(betas).max()) * max_factor)
-    denoms = _exact(denoms, bound)
-    betas = _exact(betas, bound)
+    denoms = exact_int_array(denoms, bound)
+    betas = exact_int_array(betas, bound)
     # H·common = −β·(common/den): minimize H ⇔ minimize the rescaled value.
     scaled_h = -(betas * (common // denoms))
     key = srcs * _np.int64(node_count) + dsts
@@ -577,7 +551,7 @@ def compile_expansion(
         block = cache.get(b.name, k_src, k_dst) if cache is not None else None
         if block is None:
             p, pp, beta = expanded_useful_pair_arrays(b, k_src, k_dst)
-            durations = _int_array(work.task(b.source).durations)
+            durations = exact_int_array(work.task(b.source).durations)
             block = ArcBlock(p, pp, _np.tile(durations, k_src)[p], beta)
             if cache is not None:
                 cache.put(b.name, k_src, k_dst, block)
@@ -595,7 +569,7 @@ def compile_expansion(
         betas = _np.concatenate(parts_beta)
         # One repeat instead of one np.full per buffer: the per-buffer
         # denominator q̃_t·ĩ_b is constant across a block's arcs.
-        denoms = _np.repeat(_int_array(den_vals), den_lens)
+        denoms = _np.repeat(exact_int_array(den_vals), den_lens)
     else:
         srcs = dsts = costs = betas = _np.empty(0, dtype=_np.int64)
         denoms = _np.empty(0, dtype=_np.int64)
@@ -620,9 +594,10 @@ def compile_expansion(
             max_factor * int(abs(beta_red).max()),
         )
         transit_scaled = -(
-            _exact(beta_red, bound) * (scale // _exact(reduced_den, bound))
+            exact_int_array(beta_red, bound)
+            * (scale // exact_int_array(reduced_den, bound))
         )
-        cost_scaled = _exact(costs, bound) * scale
+        cost_scaled = exact_int_array(costs, bound) * scale
     else:
         scale = 1
         transit_scaled = cost_scaled = _np.empty(0, dtype=_np.int64)

@@ -9,9 +9,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
+
+import numpy as _np
 
 Frac = Fraction
+
+#: int64 head-room guard of every numpy magnitude gate of the exact
+#: compile: an array whose next arithmetic step could reach this bound
+#: is computed on Python-int object arrays instead.
+INT64_GUARD = 1 << 62
 
 
 def floor_div(a: int, b: int) -> int:
@@ -58,6 +65,23 @@ def lcm_list(values: Iterable[int]) -> int:
             raise ValueError("lcm of 0 is undefined here")
         result = result * v // gcd(result, v)
     return result
+
+
+def exact_int_array(values, bound: Optional[int] = None):
+    """``values`` as an int64 array, or a Python-int object array past the guard.
+
+    ``bound`` must dominate every magnitude the caller's next arithmetic
+    step can produce (default: the largest ``|value|``). While it stays
+    below :data:`INT64_GUARD` the result is int64; otherwise — or when
+    ``values`` already is an object array — it is ``dtype=object``, on
+    which the same numpy expressions (``*``, ``//``, ``np.gcd``,
+    ``cumsum``, ``minimum.reduceat``, ``unique``) stay exact.
+    """
+    if bound is None:
+        bound = max(map(abs, values), default=0)
+    if bound >= INT64_GUARD or getattr(values, "dtype", None) == object:
+        return _np.asarray(values, dtype=object)
+    return _np.asarray(values, dtype=_np.int64)
 
 
 def normalize_fractions(values: Sequence[Fraction]) -> List[int]:

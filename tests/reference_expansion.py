@@ -7,13 +7,12 @@ never materializes the expansion ``G̃`` and never builds a per-arc
 * :func:`expand_graph` materializes ``G̃`` as a real
   :class:`~repro.model.graph.CsdfGraph` (paper §3.2: every duration,
   production and consumption vector duplicated ``K_t`` times);
-* :func:`reference_constraint_graph` sweeps Theorem 2's useful pairs of
-  every buffer of that materialized graph
-  (:func:`~repro.analysis.precedence.useful_pair_arrays`, pinned against
-  the pure-Python :func:`~repro.analysis.precedence.useful_pairs` by the
-  precedence tests) and emits one exact ``Fraction`` arc per pair,
-  merging parallel arcs through a dict that keeps the minimal ``H`` per
-  node pair at the position of its first occurrence.
+* :func:`reference_constraint_graph` enumerates Theorem 2's useful
+  pairs of every buffer of that materialized graph with the pure-Python
+  :func:`~repro.analysis.precedence.useful_pairs` loop (no numpy sweep
+  code shared with the product) and emits one exact ``Fraction`` arc per
+  pair, merging parallel arcs through a dict that keeps the minimal
+  ``H`` per node pair at the position of its first occurrence.
 
 The parity suites compare the product's compiled arrays, node layout
 and certified λ* against this module bit for bit.
@@ -25,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.analysis.consistency import repetition_vector
-from repro.analysis.precedence import useful_pair_arrays
+from repro.analysis.precedence import useful_pairs
 from repro.kperiodic.expansion import (
     expanded_repetition_vector,
     validate_periodicity,
@@ -105,24 +104,16 @@ def reference_constraint_graph(
         src_base = base_of[b.source]
         dst_base = base_of[b.target]
         durations = work.task(b.source).durations
-        p0s, pp0s, betas = (a.tolist() for a in useful_pair_arrays(b))
-        if not (merge_parallel and pair_count[(b.source, b.target)] > 1):
-            bi_graph.extend_arcs(
-                [src_base + p0 for p0 in p0s],
-                [dst_base + pp0 for pp0 in pp0s],
-                [Fraction(durations[p0]) for p0 in p0s],
-                [Fraction(-beta, denom) for beta in betas],
-            )
-            continue
-        for p0, pp0, beta in zip(p0s, pp0s, betas):
-            src = src_base + p0
-            dst = dst_base + pp0
+        merge = merge_parallel and pair_count[(b.source, b.target)] > 1
+        for p, pp, beta in useful_pairs(b):  # 1-based phases
+            src = src_base + p - 1
+            dst = dst_base + pp - 1
             height = Fraction(-beta, denom)
-            existing = best.get((src, dst))
+            existing = best.get((src, dst)) if merge else None
             if existing is None:
-                best[(src, dst)] = bi_graph.add_arc(
-                    src, dst, durations[p0], height
-                )
+                arc = bi_graph.add_arc(src, dst, durations[p - 1], height)
+                if merge:
+                    best[(src, dst)] = arc
             elif height < bi_graph.arc_transit[existing]:
                 # Same L (= d(t_p)); smaller H is the tighter constraint.
                 bi_graph.arc_transit[existing] = height
