@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.analysis.consistency import repetition_vector
 from repro.exceptions import DeadlockError, SolverError
 from repro.kperiodic.expansion import (
@@ -26,6 +24,7 @@ from repro.kperiodic.expansion import (
     validate_periodicity,
 )
 from repro.kperiodic.schedule import KPeriodicSchedule
+from repro.mcrp.bellman import ordered_passes
 from repro.mcrp.graph import BiValuedGraph, CycleResult
 from repro.mcrp.registry import get_engine, solve_mcrp
 from repro.obs.metrics import REGISTRY as _REGISTRY
@@ -314,17 +313,6 @@ def _extract_schedule(
     )
 
 
-#: Below this node count the numpy Jacobi sweeps cost more in array
-#: set-up than the pure-Python relaxation they replace.
-_MIN_VECTOR_NODES = 64
-#: Jacobi sweep budget: each sweep settles one more level of path
-#: depth, so wide/shallow constraint graphs converge in a handful of
-#: sweeps while serialized chains are depth ~n — past the budget the
-#: queue-based relaxation finishes from the partially converged state
-#: instead of paying Θ(depth) reduceat calls.
-_MAX_JACOBI_SWEEPS = 32
-
-
 def longest_path_potentials(
     bi_graph: BiValuedGraph,
     omega_expanded: Fraction,
@@ -335,109 +323,37 @@ def longest_path_potentials(
     ``D``, the weight of arc ``i`` is ``(b·L'_i − a·H'_i) / (b·D)`` —
     the common positive denominator is factored out of the relaxation
     and restored once at the end, so no ``Fraction`` is ever constructed
-    in a hot loop. The integer relaxation itself is numpy-vectorized
-    (one ``maximum.reduceat`` Jacobi sweep per path length) whenever
-    the weights provably fit int64; the queue-based pure-Python
-    relaxation is the fallback and the reference.
+    in a hot loop. The integer relaxation is the oracle's ordered pass
+    (:func:`repro.mcrp.bellman.ordered_passes`) run to its fixpoint.
 
     Raises :class:`SolverError` when a positive cycle survives at the
     given λ — i.e. the caller passed an uncertified (too small) ratio.
     """
     compiled = bi_graph.compile()
     a, b = omega_expanded.numerator, omega_expanded.denominator
-    dist, converged = _potentials_numpy(compiled, a, b)
-    if not converged:
-        weights = compiled.parametric_weights(a, b)
-        dist = _potentials_python(compiled, weights, seed=dist)
+    weights = compiled.parametric_weights(a, b)
+    dist = relax_potentials(compiled, weights)
     denom = b * compiled.scale
     return [Fraction(d, denom) for d in dist]
 
 
-def _potentials_numpy(
-    compiled, lam_num: int, lam_den: int
-) -> Tuple[Optional[List[int]], bool]:
-    """Jacobi longest-path sweeps over the compiled numpy arrays.
-
-    The parametric weights ``b·L' − a·H'`` are formed vectorized from
-    the compiled int64 mirrors (never as a Python list). ``dist`` after
-    sweep ``k`` dominates every ≤k-arc walk value, so with no positive
-    cycle the fixpoint is reached within ``n`` sweeps (longest simple
-    path has ``n − 1`` arcs) and one extra quiet sweep proves it.
-    Returns ``(dist, True)`` on convergence. ``(None, False)`` means
-    the vectorized pass never engaged (too small, or the walk sums
-    could overflow int64); ``(partial, False)`` means the
-    sweep budget ran out first — either way the caller finishes with
-    the queue-based relaxation, seeding it with the partial distances
-    when there are any (every entry is a real walk value, hence a
-    valid intermediate relaxation state).
-    """
-    n = compiled.node_count
-    if (
-        n < _MIN_VECTOR_NODES
-        or not compiled.arc_count
-        or not (-(1 << 62) < lam_num < (1 << 62) and lam_den < (1 << 62))
-        or not compiled.ensure_numpy()
-        or compiled.np_cost is None
-    ):
-        return None, False
-    bound = compiled.parametric_weight_bound(lam_num, lam_den)
-    if bound >= (1 << 62) // (n + 2):  # keep every walk sum inside int64
-        return None, False
-    w = lam_den * compiled.np_cost - lam_num * compiled.np_transit
-    w_s = w[compiled.dst_order]
-    src_s = compiled.src_sorted
-    dst_unique = compiled.dst_unique
-    seg_starts = compiled.seg_starts
-    dist = np.zeros(n, dtype=np.int64)
-    budget = min(n + 1, _MAX_JACOBI_SWEEPS)
-    for _sweep in range(budget):
-        seg_best = np.maximum.reduceat(dist[src_s] + w_s, seg_starts)
-        improved = seg_best > dist[dst_unique]
-        if not improved.any():
-            return dist.tolist(), True
-        touched = dst_unique[improved]
-        dist[touched] = seg_best[improved]
-    if budget > n:
-        raise SolverError("positive cycle at certified λ*: engine bug")
-    return dist.tolist(), False
-
-
-def _potentials_python(
+def relax_potentials(
     compiled,
     weights: List[int],
     seed: Optional[List[int]] = None,
 ) -> List[int]:
-    """Queue-based Bellman–Ford longest paths (exact reference).
+    """Least fixpoint of ``dist[v] ≥ dist[u] + w(u→v)`` at or above ``seed``.
 
-    ``seed`` (optional) is an intermediate relaxation state — every
-    entry a genuine walk value from the zero source, component-wise at
-    most the fixpoint — from which the relaxation resumes; the least
-    fixpoint reached is the same either way.
+    ``seed`` defaults to all zeros. Runs :func:`ordered_passes` to its
+    quiet pass; a pass that still improves after ``backward + 1`` of
+    them proves a positive cycle, which raises :class:`SolverError`.
     """
-    from collections import deque
-
-    n = compiled.node_count
-    out_arcs = compiled.out_arcs
-    arc_dst = compiled.dst
-    dist: List[int] = [0] * n if seed is None else list(seed)
-    in_queue = [True] * n
-    relaxations = [0] * n
-    queue = deque(range(n))
-    while queue:
-        u = queue.popleft()
-        in_queue[u] = False
-        du = dist[u]
-        for arc in out_arcs[u]:
-            v = arc_dst[arc]
-            candidate = du + weights[arc]
-            if candidate > dist[v]:
-                dist[v] = candidate
-                relaxations[v] += 1
-                if relaxations[v] > n + 1:
-                    raise SolverError(
-                        "positive cycle at certified λ*: engine bug"
-                    )
-                if not in_queue[v]:
-                    in_queue[v] = True
-                    queue.append(v)
+    dist: List[int] = [0] * compiled.node_count if seed is None else list(seed)
+    limit = compiled.relaxation_order()[1] + 1
+    pred = [-1] * compiled.node_count
+    for passes, _last in enumerate(
+        ordered_passes(compiled, weights, dist, pred), 1
+    ):
+        if passes > limit:
+            raise SolverError("positive cycle at certified λ*: engine bug")
     return dist

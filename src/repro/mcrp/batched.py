@@ -400,11 +400,12 @@ def _jacobi_probe(
 ) -> Tuple[Dict[int, List[int]], Set[int], Set[int]]:
     """One fleet-wide positive-cycle probe at the per-graph current λ.
 
-    Mirrors :func:`repro.mcrp.bellman._find_cycle_numpy` with the fleet
-    twist: ``dist``/``pred`` live in the global node space, each sweep is
-    one ``maximum.reduceat`` over the arcs of every still-searching
-    graph, and a graph whose segments all go quiet is retired on the
-    spot (its relaxation reached its fixpoint — no positive cycle).
+    Jacobi longest-path sweeps (after ``k`` sweeps ``dist`` dominates
+    every ≤k-arc walk) with the fleet twist: ``dist``/``pred`` live in
+    the global node space, each sweep is one ``maximum.reduceat`` over
+    the arcs of every still-searching graph, and a graph whose segments
+    all go quiet is retired on the spot (its relaxation reached its
+    fixpoint — no positive cycle).
 
     Returns ``(cycles, quiet, punt)``: verified positive cycles in local
     arc indices, graphs proven cycle-free at their λ, and graphs whose

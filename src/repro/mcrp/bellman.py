@@ -7,20 +7,21 @@ weight under ``w(e) = L(e) − λ·H(e)``.
 All arithmetic is **exact**: the compiled graph scales the
 Fraction-valued ``(L, H)`` pairs to integers once by the lcm ``D`` of
 their denominators, and a rational candidate ``λ = a/b`` turns the
-weight test into the integer test ``b·L' − a·H' > 0``. Python's
-arbitrary-precision ints make overflow impossible; when the compiled
-core's integer fast path applies (scaled values fit ``int64``), the
-parametric weights are formed vectorized in numpy instead of a Python
-list comprehension.
+weight test into the integer test ``b·L' − a·H' > 0``.
 
-The finder is a queue-based Bellman-Ford (SPFA) computing longest paths
-from an implicit super-source (all distances start at 0): a node relaxed
-more than ``n`` times certifies a positive cycle, which is extracted from
-the predecessor chain.
+Both finders compute longest paths from an implicit super-source (all
+distances start at 0), prove absence by reaching a fixpoint, and return
+only a cycle of the predecessor graph whose weight is verified positive:
 
-The module also hosts the ``bellman`` registry engine: ascending ratio
-iteration driven purely by the reference Python relaxation — the
-slow-but-transparent baseline every fast path is validated against.
+* the **ordered** finder (64 nodes and up) runs Gauss–Seidel passes in
+  the compiled relaxation order, a topological order of the ``H ≤ 0``
+  arcs. A K-expansion's zero-token chains are then forward arcs, so
+  the pass count follows the backward arcs a path crosses, not its
+  depth. Wide, shallow orders relax one numpy step per level;
+* the **queue** finder (SPFA) is the small-graph path, the fallback
+  when the ordered passes exceed their budget, and the oracle of the
+  ``bellman`` registry engine: the slow-but-transparent baseline every
+  fast path is validated against.
 """
 
 from __future__ import annotations
@@ -80,38 +81,7 @@ def find_positive_cycle(
     """
     if lam_den <= 0:
         raise ValueError("lam_den must be positive")
-    compiled = scaled.compiled
-    # Integer fast path: form the parametric weights vectorized and go
-    # straight to the Jacobi sweep when the weight magnitudes provably
-    # keep every ≤(3n+2)-arc walk sum inside int64. λ's own numerator
-    # and denominator must fit int64 *independently* of the weight
-    # bound: an all-zero cost (or transit) column zeroes its term of
-    # the bound while the numpy scalar conversion still sees the raw
-    # huge integer.
-    jacobi_declined = False
-    if (
-        compiled.node_count >= 64
-        and -(1 << 62) < lam_num < (1 << 62)
-        and lam_den < (1 << 62)
-        and compiled.ensure_numpy()
-        and compiled.np_cost is not None
-    ):
-        bound = compiled.parametric_weight_bound(lam_num, lam_den)
-        if bound < (1 << 62) // (3 * compiled.node_count + 4):
-            w_np = lam_den * compiled.np_cost - lam_num * compiled.np_transit
-            outcome = _find_cycle_numpy(scaled, w_np)
-            if outcome is not _FALLBACK:
-                return outcome
-            jacobi_declined = True
-    weights = compiled.parametric_weights(lam_num, lam_den)
-    if jacobi_declined:
-        # the Jacobi sweep already ran on these exact weights and could
-        # not settle; go straight to the queue-based engine
-        return _find_positive_weight_cycle_python(scaled, weights)
-    # The precomputed bound is cancellation-free (b·maxL + |a|·maxH), so
-    # near-critical weights can still be small when it overflows: let
-    # the dispatching finder re-measure the actual weights and keep its
-    # numpy shot where they fit.
+    weights = scaled.compiled.parametric_weights(lam_num, lam_den)
     return find_positive_weight_cycle(scaled, weights)
 
 
@@ -121,117 +91,158 @@ def find_positive_weight_cycle(
 ) -> Optional[List[int]]:
     """An elementary cycle of positive total ``weights``-value, or None.
 
-    Dispatches to a vectorized Jacobi sweep when the instance is big
-    enough to profit and every possible path sum fits int64; otherwise (or if the fast path cannot certify within its pass
-    budget) falls back to the exact queue-based relaxation below. Both
-    halves only ever return *verified* positive cycles, so the dispatch
-    cannot affect correctness.
+    From 64 nodes up this runs the ordered longest-path passes
+    (:func:`_find_cycle_ordered`); below, and whenever those passes run
+    out of budget, the queue-based relaxation. Both only return
+    *verified* positive cycles and both prove absence by reaching a
+    fixpoint, so the dispatch cannot affect correctness.
     """
     if scaled.node_count >= 64:
-        outcome = _find_cycle_numpy(scaled, weights)
-        if outcome is not _FALLBACK:
-            return outcome
+        return _find_cycle_ordered(scaled, weights)
     return _find_positive_weight_cycle_python(scaled, weights)
 
 
-_FALLBACK = object()
+#: Improving passes allowed past the existence proof for the positive
+#: cycle to reach the predecessor pointers before the queue engine
+#: takes over.
+_EXTRACTION_PASSES = 8
 
 
-def _find_cycle_numpy(scaled: ScaledGraph, weights):
-    """Jacobi longest-path sweeps in numpy (int64).
+def ordered_passes(compiled, weights: List[int], dist: List[int], pred):
+    """Gauss–Seidel longest-path passes in the compiled relaxation order.
 
-    ``dist_k`` after k sweeps equals the best ≤k-arc walk value from the
-    all-zero source, so stabilization within ``n`` sweeps proves there
-    is no positive cycle; an improvement at sweep ``n+1`` proves there
-    is one. Extraction walks the predecessor pointers recorded during
-    the extra sweeps (predecessor-graph cycles have weight ≥ 0; strict
-    positivity is verified, and the positive cycle pumps itself into
-    the pointers within a bounded number of extra sweeps — after the
-    budget, fall back to the exact queue engine).
+    Each pass pulls every node once from its in-arcs, level by level in
+    :meth:`~repro.mcrp.compiled.CompiledGraph.relaxation_order`, raising
+    ``dist`` in place and recording the winning arc in ``pred`` (-1:
+    none yet). It yields the last node it improved and stops after a
+    pass with no improvement: ``dist`` is then the least fixpoint at or
+    above its start. After pass ``k``, ``dist[v]`` is at least every
+    path value into ``v`` that crosses at most ``k − 1`` backward arcs,
+    so without a positive cycle at most ``backward + 1`` passes improve.
+    Wide, shallow orders run one numpy step per level while every value
+    provably fits int64; otherwise Python ints relax arc by arc, exactly
+    at any magnitude.
 
-    ``weights`` may be a Python list (bounds are then checked here) or a
-    ready int64 array whose walk sums the caller already proved safe.
-    The destination-sorted segment structure comes precomputed from the
-    compiled core.
+    A 4-node chain closed by one ``H > 0`` back arc, at a λ where the
+    cycle weighs 0: one improving pass, then the fixpoint.
+
+    >>> from repro.mcrp.graph import BiValuedGraph
+    >>> g = BiValuedGraph(4)
+    >>> for v in range(3):
+    ...     _ = g.add_arc(v, v + 1, 2, 0)
+    >>> _ = g.add_arc(3, 0, 1, 1)
+    >>> compiled = g.compile()
+    >>> compiled.relaxation_order()
+    ([(0, (3,)), (1, (0,)), (2, (1,)), (3, (2,))], 1, None)
+    >>> dist, pred = [0] * 4, [-1] * 4
+    >>> list(ordered_passes(compiled, [2, 2, 2, 1 - 7], dist, pred))
+    [3]
+    >>> dist
+    [0, 2, 4, 6]
+    """
+    rows, _backward, plan = compiled.relaxation_order()
+    if plan is not None:
+        settled = yield from _level_passes(plan, weights, dist, pred)
+        if settled:
+            return
+        rows = []  # past int64: the same order, arc by arc
+        for _a0, _a1, _srcs, ids, starts, sizes, nodes, _pos in plan[1]:
+            arcs = ids.tolist()
+            rows += [
+                (v, arcs[lo:lo + size]) for v, lo, size in
+                zip(nodes.tolist(), starts.tolist(), sizes.tolist())
+            ]
+    src = compiled.src
+    while True:
+        last = -1
+        for v, arcs in rows:
+            best = dist[v]
+            won = -1
+            for arc in arcs:
+                candidate = dist[src[arc]] + weights[arc]
+                if candidate > best:
+                    best = candidate
+                    won = arc
+            if won >= 0:
+                dist[v] = best
+                pred[v] = won
+                last = v
+        if last < 0:
+            return
+        yield last
+
+
+def _level_passes(plan, weights, dist, pred):
+    """:func:`ordered_passes` with one numpy step per level.
+
+    A level's nodes read each other's values from before the step, so
+    its own arcs count as backward, as ``relaxation_order`` counts them.
+    After ``k`` passes every value is a walk of at most ``k·n`` arcs
+    from the start, which bounds the passes that stay inside int64.
+    Returns True at a fixpoint, False when that bound (or an input
+    beyond int64) leaves the rest to the Python passes.
+    """
+    perm, levels = plan
+    try:
+        w = _np.array(weights, dtype=_np.int64)[perm]
+        d = _np.array(dist, dtype=_np.int64)
+    except OverflowError:
+        return False
+    reach = len(dist) * max(int(w.max()), -int(w.min()), 1)
+    room = (1 << 62) - max(int(d.max()), -int(d.min()))
+    p = _np.array(pred, dtype=_np.int64)
+    for _pass in range(max(room, 0) // reach):
+        last = -1
+        for a0, a1, srcs, arcs, starts, sizes, nodes, positions in levels:
+            cand = d[srcs] + w[a0:a1]
+            best = _np.maximum.reduceat(cand, starts)
+            up = best > d[nodes]
+            if up.any():
+                hit = _np.where(
+                    cand == _np.repeat(best, sizes), positions, a1 - a0
+                )
+                touched = nodes[up]
+                d[touched] = best[up]
+                p[touched] = arcs[_np.minimum.reduceat(hit, starts)[up]]
+                last = int(touched[-1])
+        dist[:] = d.tolist()
+        if last < 0:
+            return True
+        pred[:] = p.tolist()
+        yield last
+    return False
+
+
+def _find_cycle_ordered(
+    scaled: ScaledGraph,
+    weights: List[int],
+    max_passes: Optional[int] = None,
+) -> Optional[List[int]]:
+    """Positive-cycle oracle on :func:`ordered_passes` from all zeros.
+
+    A pass with no improvement proves there is no positive cycle. After
+    each improving pass the predecessor chain of its last improved node
+    is walked once; a closed chain is returned if its weight is strictly
+    positive. An improving pass past ``backward + 1`` proves a positive
+    cycle exists; if ``_EXTRACTION_PASSES`` more passes (or the given
+    ``max_passes`` in all) do not surface it, the queue engine answers
+    from the same weights, so correctness never rests on this loop.
     """
     compiled = scaled.compiled
+    if max_passes is None:
+        max_passes = compiled.relaxation_order()[1] + 2 + _EXTRACTION_PASSES
     n = compiled.node_count
-    m = compiled.arc_count
-    if m == 0:
-        return None
-    if not compiled.ensure_numpy():  # pragma: no cover - arcs checked above
-        return _FALLBACK
-    if isinstance(weights, list):
-        max_w = max(1, max(abs(w) for w in weights))
-        # every dist value is a ≤(3n+2)-arc walk sum; keep far from 2^63
-        if max_w >= (1 << 62) // (3 * n + 4):
-            return _FALLBACK
-        w = _np.array(weights, dtype=_np.int64)
-    else:
-        w = weights
-    src_s = compiled.src_sorted
-    w_s = w[compiled.dst_order]
-    arc_ids = compiled.arc_ids_sorted
-    dst_unique = compiled.dst_unique
-    seg_starts = compiled.seg_starts
-    seg_sizes = compiled.seg_sizes
-
-    dist = _np.zeros(n, dtype=_np.int64)
-    pred = _np.full(n, -1, dtype=_np.int64)
-    positions = _np.arange(m, dtype=_np.int64)
-    last_improved: Optional[_np.ndarray] = None
-
-    max_sweeps = 3 * n + 2
-    for sweep in range(max_sweeps):
-        cand = dist[src_s] + w_s
-        seg_best = _np.maximum.reduceat(cand, seg_starts)
-        improved = seg_best > dist[dst_unique]
-        if not improved.any():
-            return None
-        # record predecessors (first arc achieving the segment max)
-        best_rep = _np.repeat(seg_best, seg_sizes)
-        hit_pos = _np.where(cand == best_rep, positions, m)
-        first_hit = _np.minimum.reduceat(hit_pos, seg_starts)
-        touched = dst_unique[improved]
-        dist[touched] = seg_best[improved]
-        pred[touched] = arc_ids[first_hit[improved]]
-        last_improved = touched
-        # Extraction may succeed long before the n-sweep existence proof
-        # (the positive cycle pumps itself into the pointers early);
-        # attempts are cheap (one pointer walk) and verified, so probe
-        # periodically.
-        if sweep & 15 == 15 or sweep >= n:
-            cycle = _extract_pred_cycle_array(
-                scaled, pred, int(last_improved[0]), w
-            )
-            if cycle is not None:
-                return cycle
-    return _FALLBACK  # positive cycle exists but pointers never settled
-
-
-def _extract_pred_cycle_array(
-    scaled: ScaledGraph,
-    pred,
-    start: int,
-    weights,
-) -> Optional[List[int]]:
-    """Predecessor-chain walk over the numpy pred array (verified)."""
-    seen_at = {}
-    chain_arcs: List[int] = []
-    node = start
-    while node not in seen_at:
-        seen_at[node] = len(chain_arcs)
-        arc = int(pred[node])
-        if arc < 0:
-            return None
-        chain_arcs.append(arc)
-        node = scaled.arc_src[arc]
-    first = seen_at[node]
-    cycle_arcs = chain_arcs[first:]
-    cycle_arcs.reverse()
-    if sum(weights[a] for a in cycle_arcs) <= 0:
-        return None
-    return cycle_arcs
+    dist = [0] * n
+    pred = [-1] * n
+    for passes, last in enumerate(
+        ordered_passes(compiled, weights, dist, pred), 1
+    ):
+        cycle = _extract_pred_cycle(scaled, pred, last, weights)
+        if cycle is not None:
+            return cycle
+        if passes >= max_passes:
+            return _find_positive_weight_cycle_python(scaled, weights)
+    return None
 
 
 def _find_positive_weight_cycle_python(
@@ -262,7 +273,7 @@ def _find_positive_weight_cycle_python(
     if n == 0:
         return None
     dist = [0] * n
-    pred_arc: List[Optional[int]] = [None] * n
+    pred_arc = [-1] * n
     plen = [0] * n  # arcs in the walk realizing dist[v]
     in_queue = [True] * n
     queue = deque(range(n))
@@ -311,7 +322,7 @@ def _find_positive_weight_cycle_python(
 
 def _extract_pred_cycle(
     scaled: ScaledGraph,
-    pred_arc: List[Optional[int]],
+    pred_arc: List[int],
     start: int,
     weights: List[int],
 ) -> Optional[List[int]]:
@@ -328,7 +339,7 @@ def _extract_pred_cycle(
         seen_at[node] = len(chain_nodes)
         chain_nodes.append(node)
         arc = pred_arc[node]
-        if arc is None:
+        if arc < 0:
             return None  # chain reached an un-relaxed node: no cycle here
         chain_arcs.append(arc)
         node = scaled.arc_src[arc]
@@ -338,11 +349,6 @@ def _extract_pred_cycle(
     if sum(weights[a] for a in cycle_arcs) <= 0:
         return None
     return cycle_arcs
-
-
-def has_positive_cycle(scaled: ScaledGraph, lam: Fraction) -> bool:
-    """Convenience wrapper taking the candidate ratio as a Fraction."""
-    return find_positive_cycle(scaled, lam.numerator, lam.denominator) is not None
 
 
 def certify_zero_ratio(scaled: ScaledGraph) -> Optional[List[int]]:
@@ -380,54 +386,6 @@ def certify_zero_ratio(scaled: ScaledGraph) -> Optional[List[int]]:
     return None
 
 
-def find_any_cycle(scaled: ScaledGraph) -> Optional[List[int]]:
-    """Any elementary cycle of the digraph (arc indices), or None.
-
-    Iterative DFS with colouring; used as a fallback certificate when the
-    maximum cycle ratio is 0 (every cycle is then critical).
-    """
-    n = scaled.node_count
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = [WHITE] * n
-    entered_by: List[Optional[int]] = [None] * n
-    for root in range(n):
-        if colour[root] != WHITE:
-            continue
-        stack: List[Tuple[int, int]] = [(root, 0)]
-        colour[root] = GREY
-        while stack:
-            node, arc_pos = stack[-1]
-            arcs = scaled.out_arcs[node]
-            moved = False
-            while arc_pos < len(arcs):
-                arc = arcs[arc_pos]
-                arc_pos += 1
-                nxt = scaled.arc_dst[arc]
-                if colour[nxt] == GREY:
-                    # Found a back arc: unwind the grey stack into a cycle.
-                    cycle = [arc]
-                    cursor = node
-                    while cursor != nxt:
-                        incoming = entered_by[cursor]
-                        assert incoming is not None
-                        cycle.append(incoming)
-                        cursor = scaled.arc_src[incoming]
-                    cycle.reverse()
-                    return cycle
-                if colour[nxt] == WHITE:
-                    stack[-1] = (node, arc_pos)
-                    colour[nxt] = GREY
-                    entered_by[nxt] = arc
-                    stack.append((nxt, 0))
-                    moved = True
-                    break
-            if moved:
-                continue
-            stack.pop()
-            colour[node] = BLACK
-    return None
-
-
 # ----------------------------------------------------------------------
 def _python_oracle(
     scaled: ScaledGraph, lam_num: int, lam_den: int
@@ -452,10 +410,9 @@ def max_cycle_ratio_bellman(
 
     Identical contract (and results) to
     :func:`repro.mcrp.max_cycle_ratio`; only the oracle implementation
-    differs — this engine never touches the numpy Jacobi sweep, which
-    makes it the ground truth the vectorized paths are validated
-    against, and a sane choice on tiny graphs where array setup
-    dominates.
+    differs — this engine never touches the ordered passes, which
+    makes it the ground truth the fast paths are validated against,
+    and a sane choice on tiny graphs where set-up dominates.
     """
     from repro.mcrp.ratio_iteration import max_cycle_ratio
 

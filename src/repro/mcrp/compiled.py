@@ -13,12 +13,14 @@ oracle call, engine, SCC sweep and longest-path pass on that graph:
   by the lcm ``scale`` of all denominators (cycle ratios are invariant
   under common scaling; Python ints make overflow impossible);
 * an **integer fast path**: when the scaled values fit ``int64``,
-  numpy mirrors ``np_cost``/``np_transit`` let the positive-cycle
-  oracle form the parametric weights ``b·L − a·H`` vectorized;
+  numpy mirrors ``np_cost``/``np_transit`` let the Karp table and the
+  fleet kernel form the parametric weights ``b·L − a·H`` vectorized;
 * **float shadow weights** ``cost_float``/``transit_float`` computed
   once for the float prefilter engines (Howard, hybrid);
-* the destination-sorted segment structure the numpy Jacobi relaxation
-  needs (previously re-``argsort``-ed on every oracle call).
+* the destination-sorted segment structure of the vectorized Karp
+  table and the fleet kernel (previously re-``argsort``-ed per call);
+* the **relaxation order** of the positive-cycle oracle and the
+  longest-path potentials (:meth:`CompiledGraph.relaxation_order`).
 
 Compilation is cached on the source graph (see
 :meth:`BiValuedGraph.compile`) and invalidated by mutation, so the
@@ -34,6 +36,9 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 import numpy as _np
 
 _INT64_MAX = (1 << 63) - 1
+#: In-arcs per level from which one vectorized step per level beats
+#: relaxing arc by arc in Python (see ``relaxation_order``).
+VECTOR_ARCS_PER_LEVEL = 64
 
 
 class CompiledGraph:
@@ -71,6 +76,7 @@ class CompiledGraph:
         "src_unique", "src_seg_starts", "src_seg_sizes",
         "dst_order", "src_sorted", "arc_ids_sorted",
         "dst_unique", "seg_starts", "seg_sizes",
+        "_relax_order",
     )
 
     def __init__(
@@ -127,6 +133,7 @@ class CompiledGraph:
         self.src_unique = self.src_seg_starts = self.src_seg_sizes = None
         self.dst_order = self.src_sorted = self.arc_ids_sorted = None
         self.dst_unique = self.seg_starts = self.seg_sizes = None
+        self._relax_order = None
 
     # ------------------------------------------------------------------
     def ensure_numpy(self) -> bool:
@@ -179,6 +186,81 @@ class CompiledGraph:
             _np.append(self.seg_starts, self.arc_count)
         )
         return True
+
+    def relaxation_order(self):
+        """``(rows, backward, plan)``: the Gauss–Seidel schedule, built once.
+
+        Nodes are levelled by Kahn's algorithm over the arcs with
+        ``transit ≤ 0``; nodes on (or behind) an ``H ≤ 0`` cycle share
+        one last level. ``rows`` lists ``(node, in-arcs)`` for every
+        node with in-arcs, by level, then index. ``backward`` counts the
+        arcs whose source level is not below their destination's. Every
+        cycle has one, and an elementary path crosses each at most once,
+        which bounds the passes of
+        :func:`repro.mcrp.bellman.ordered_passes`. Any order is sound;
+        this one makes the long zero-token chains of a K-expansion
+        forward arcs. When the levels average at least
+        :data:`VECTOR_ARCS_PER_LEVEL` in-arcs, ``plan`` holds the arrays
+        of the level-vectorized pass instead of ``rows`` (None).
+        """
+        if self._relax_order is None:
+            self._relax_order = ([], 0, None)
+            if self.ensure_numpy():
+                self._relax_order = self._build_relaxation_order()
+        return self._relax_order
+
+    def _build_relaxation_order(self):
+        n, m = self.node_count, self.arc_count
+        src, dst = self.np_src, self.np_dst
+        nonpos = _np.fromiter(map((0).__ge__, self.transit), bool, m)
+        nonpos_src, nonpos_dst = src[nonpos], dst[nonpos]
+        indegree = _np.bincount(nonpos_dst, minlength=n).tolist()
+        succ = nonpos_dst[_np.argsort(nonpos_src, kind="stable")].tolist()
+        ptr = [0] + _np.cumsum(_np.bincount(nonpos_src, minlength=n)).tolist()
+        level = [0] * n
+        ready = [v for v in range(n) if not indegree[v]]
+        for u in ready:  # grows while it is walked: Kahn's queue
+            below = level[u] + 1
+            for v in succ[ptr[u]:ptr[u + 1]]:
+                if level[v] < below:
+                    level[v] = below
+                indegree[v] -= 1
+                if not indegree[v]:
+                    ready.append(v)
+        lv = _np.array(level, dtype=_np.int64)
+        depth = int(lv.max()) + 1
+        lv[_np.array(indegree) > 0] = depth
+        levels = depth + (len(ready) < n)
+        dst_level = lv[dst]
+        backward = int((lv[src] >= dst_level).sum())
+        perm = _np.lexsort((dst, dst_level))
+        dst = dst[perm]
+        seg = _np.flatnonzero(_np.diff(dst, prepend=-1))
+        if m < VECTOR_ARCS_PER_LEVEL * levels:
+            # tuples of ints leave the collector's lists, so a big order
+            # does not make full collections more frequent
+            arcs, bounds = tuple(perm.tolist()), _np.append(seg, m).tolist()
+            rows = [
+                (v, arcs[lo:hi])
+                for v, lo, hi in zip(dst[seg].tolist(), bounds, bounds[1:])
+            ]
+            return rows, backward, None
+        # the vectorized pass: per level, its arc range in ``perm``
+        # order, the arcs' sources and ids, and the start, size and
+        # node of each destination segment
+        arc_bounds = _np.searchsorted(dst_level[perm], _np.arange(levels + 1))
+        seg_bounds = _np.searchsorted(seg, arc_bounds).tolist()
+        plan = []
+        for i, (a0, a1) in enumerate(zip(arc_bounds[:-1], arc_bounds[1:])):
+            if a0 == a1:
+                continue
+            starts = seg[seg_bounds[i]:seg_bounds[i + 1]] - a0
+            plan.append((
+                int(a0), int(a1), src[perm[a0:a1]], perm[a0:a1],
+                starts, _np.diff(starts, append=a1 - a0), dst[a0 + starts],
+                _np.arange(a1 - a0),
+            ))
+        return None, backward, (perm, plan)
 
     # ------------------------------------------------------------------
     def out_arcs_of(self, node: int) -> List[int]:
@@ -295,6 +377,7 @@ class CompiledGraph:
         self.src_unique = self.src_seg_starts = self.src_seg_sizes = None
         self.dst_order = self.src_sorted = self.arc_ids_sorted = None
         self.dst_unique = self.seg_starts = self.seg_sizes = None
+        self._relax_order = None
         return self
 
 

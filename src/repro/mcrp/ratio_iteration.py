@@ -43,7 +43,7 @@ Oracle = Callable[[ScaledGraph, int, int], Optional[List[int]]]
     vectorized=True,
     batched=True,
     summary="ascending exact cycle-ratio iteration (default engine; "
-            "numpy Jacobi oracle when the int64 fast path applies)",
+            "ordered longest-path oracle from 64 nodes)",
 )
 def max_cycle_ratio(
     graph: BiValuedGraph,

@@ -5,7 +5,7 @@ the difference-constraint system ``S[dst] − S[src] ≥ w(e)`` with
 ``w(e) = L(e) − λ*·H(e)`` over the bi-valued constraint graph. ASAP is
 the *least* solution ≥ 0 (:func:`repro.kperiodic.solver.
 longest_path_potentials`). ALAP is the *greatest* solution under a cap
-vector, computed by the same queue relaxation run on the **reversed**
+vector, computed by the same ordered relaxation run on the **reversed**
 graph: with ``f = −S``, the constraint becomes ``f[src] ≥ f[dst] + w``,
 i.e. a longest-path fixpoint along reversed arcs seeded at ``−cap``.
 
@@ -59,11 +59,11 @@ def _relax_reversed(
 ) -> List[Fraction]:
     """Least fixpoint of ``g[x] = max(seed_x, max_{x→y} g[y] + w(e))``.
 
-    Runs the solver's exact queue relaxation on the reversed compiled
+    Runs the solver's exact ordered relaxation on the reversed compiled
     graph; seeds are converted to the compiled integer scale (they must
     land on it — all inputs here are ratios of potentials, which do).
     """
-    from repro.kperiodic.solver import _potentials_python
+    from repro.kperiodic.solver import relax_potentials
 
     rev = reverse_bi_graph(bi)
     compiled = rev.compile()
@@ -81,7 +81,7 @@ def _relax_reversed(
                     f"scale 1/{denom}"
                 )
             seed_int.append(scaled.numerator)
-    dist = _potentials_python(compiled, weights, seed=seed_int)
+    dist = relax_potentials(compiled, weights, seed=seed_int)
     return [Fraction(d, denom) for d in dist]
 
 

@@ -1,4 +1,4 @@
-"""The vectorized Karp fast path and the numpy potentials pass.
+"""The vectorized Karp fast path and the ordered potentials pass.
 
 Two families of guarantees for the compiled fast paths added on top of
 the oracle:
@@ -9,9 +9,9 @@ the oracle:
   graphs, the golden corpus, and the edge cases (acyclic, single-node
   SCC, dead walks, int64 overflow fallback); the ``karp`` and
   ``karp-python`` engines certify identical λ* everywhere.
-* **Longest-path potentials** — the Jacobi numpy pass and the
-  queue-based reference produce identical exact potentials, agree on
-  the seeded partial-convergence handoff, and both reject uncertified
+* **Longest-path potentials** — the ordered Gauss–Seidel pass and a
+  queue-based reference produce identical exact potentials, agree when
+  resumed from a partially relaxed seed, and both reject uncertified
   ratios (a positive cycle at the given λ) with ``SolverError``, which
   also covers deadlock-shaped cycles (positive at *every* λ).
 """
@@ -20,13 +20,12 @@ from fractions import Fraction
 
 import pytest
 
-import repro.kperiodic.solver as solver_mod
 import repro.mcrp.karp as karp_mod
 from repro.analysis import build_constraint_graph
 from repro.exceptions import SolverError
 from repro.io import load_graph
 from repro.kperiodic import min_period_for_k, throughput_kiter
-from repro.kperiodic.solver import longest_path_potentials
+from repro.kperiodic.solver import longest_path_potentials, relax_potentials
 from repro.mcrp import (
     BiValuedGraph,
     get_engine,
@@ -44,9 +43,8 @@ numpy = pytest.importorskip("numpy")
 
 @pytest.fixture
 def force_vectorized(monkeypatch):
-    """Engage the numpy fast paths regardless of instance size."""
+    """Engage the numpy Karp table regardless of instance size."""
     monkeypatch.setattr(karp_mod, "_MIN_VECTOR_NODES", 1)
-    monkeypatch.setattr(solver_mod, "_MIN_VECTOR_NODES", 1)
 
 
 # ----------------------------------------------------------------------
@@ -151,8 +149,48 @@ def test_karp_golden_corpus_parity(filename, period, force_vectorized):
 
 
 # ----------------------------------------------------------------------
-# numpy longest-path potentials
+# ordered longest-path potentials vs. a queue-based reference
 # ----------------------------------------------------------------------
+def queue_potentials(compiled, weights, seed=None):
+    """Queue-based Bellman–Ford longest paths (exact reference).
+
+    The least fixpoint at or above ``seed`` (all zeros by default);
+    raises ``SolverError`` once a node is relaxed more than ``n + 1``
+    times, which only a positive cycle can cause.
+    """
+    from collections import deque
+
+    n = compiled.node_count
+    dist = [0] * n if seed is None else list(seed)
+    in_queue = [True] * n
+    relaxations = [0] * n
+    queue = deque(range(n))
+    while queue:
+        u = queue.popleft()
+        in_queue[u] = False
+        for arc in compiled.out_arcs[u]:
+            v = compiled.dst[arc]
+            candidate = dist[u] + weights[arc]
+            if candidate > dist[v]:
+                dist[v] = candidate
+                relaxations[v] += 1
+                if relaxations[v] > n + 1:
+                    raise SolverError("positive cycle at certified λ*")
+                if not in_queue[v]:
+                    in_queue[v] = True
+                    queue.append(v)
+    return dist
+
+
+def _potentials(bi, lam, ordered):
+    if ordered:
+        return longest_path_potentials(bi, lam)
+    compiled = bi.compile()
+    weights = compiled.parametric_weights(lam.numerator, lam.denominator)
+    denom = lam.denominator * compiled.scale
+    return [Fraction(d, denom) for d in queue_potentials(compiled, weights)]
+
+
 def _expanded_bi_graph(graph):
     """The reference constraint graph of the full (K = q) expansion."""
     from repro.analysis import repetition_vector
@@ -163,64 +201,58 @@ def _expanded_bi_graph(graph):
 
 
 @pytest.mark.parametrize("seed", [2, 9])
-def test_potentials_numpy_python_parity(seed, monkeypatch):
+def test_potentials_ordered_queue_parity(seed):
     bi = _expanded_bi_graph(make_random_live_graph(seed, tasks=5))
     lam = solve_mcrp(bi, "ratio-iteration").ratio
-    monkeypatch.setattr(solver_mod, "_MIN_VECTOR_NODES", 1)
-    vec = longest_path_potentials(bi, lam)
-    monkeypatch.setattr(solver_mod, "_MIN_VECTOR_NODES", 10 ** 9)
-    ref = longest_path_potentials(bi, lam)
-    assert vec == ref
+    ordered = _potentials(bi, lam, ordered=True)
+    assert ordered == _potentials(bi, lam, ordered=False)
     # fixpoint: every arc is satisfied (dist[dst] ≥ dist[src] + w)
     for i in range(bi.arc_count):
         w = bi.arc_cost[i] - lam * bi.arc_transit[i]
-        assert vec[bi.arc_dst[i]] >= vec[bi.arc_src[i]] + w
+        assert ordered[bi.arc_dst[i]] >= ordered[bi.arc_src[i]] + w
 
 
-def test_potentials_seeded_handoff(monkeypatch):
-    # exhaust the Jacobi budget so the queue engine finishes from the
-    # partially converged state; the fixpoint must be unchanged
+def test_potentials_seeded_handoff():
+    # resume both relaxations from a partially relaxed state (every
+    # entry between 0 and the fixpoint): each must land on the
+    # unseeded fixpoint
     bi = _expanded_bi_graph(make_random_live_graph(4, tasks=5))
     lam = solve_mcrp(bi, "ratio-iteration").ratio
-    reference = longest_path_potentials(bi, lam)
-    monkeypatch.setattr(solver_mod, "_MIN_VECTOR_NODES", 1)
-    monkeypatch.setattr(solver_mod, "_MAX_JACOBI_SWEEPS", 1)
-    assert longest_path_potentials(bi, lam) == reference
+    compiled = bi.compile()
+    weights = compiled.parametric_weights(lam.numerator, lam.denominator)
+    reference = queue_potentials(compiled, weights)
+    partial = [d // 2 for d in reference]
+    assert partial != reference
+    assert relax_potentials(compiled, weights, seed=partial) == reference
+    assert queue_potentials(compiled, weights, seed=partial) == reference
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_potentials_reject_uncertified_ratio(vectorized, monkeypatch):
+@pytest.mark.parametrize("ordered", [True, False])
+def test_potentials_reject_uncertified_ratio(ordered):
     # λ below λ* leaves a positive (in scheduling terms: negative
     # slack) cycle: both relaxations must refuse to "converge"
-    monkeypatch.setattr(
-        solver_mod, "_MIN_VECTOR_NODES", 1 if vectorized else 10 ** 9
-    )
     n = 80
     g = BiValuedGraph(n)
     for i in range(n):
         g.add_arc(i, (i + 1) % n, 2, 1)  # one big cycle, λ* = 2
     with pytest.raises(SolverError, match="positive cycle"):
-        longest_path_potentials(g, Fraction(1))
-    assert longest_path_potentials(g, Fraction(2))[0] == 0
+        _potentials(g, Fraction(1), ordered)
+    assert _potentials(g, Fraction(2), ordered)[0] == 0
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_potentials_reject_deadlock_cycle(vectorized, monkeypatch):
+@pytest.mark.parametrize("ordered", [True, False])
+def test_potentials_reject_deadlock_cycle(ordered):
     # a positive-cost cycle with non-positive transit stays positive at
     # every λ — no potentials exist at any candidate period
-    monkeypatch.setattr(
-        solver_mod, "_MIN_VECTOR_NODES", 1 if vectorized else 10 ** 9
-    )
     g = BiValuedGraph(2)
     g.add_arc(0, 1, 1, 0)
     g.add_arc(1, 0, 1, 0)
     for lam in (Fraction(0), Fraction(7), Fraction(999)):
         with pytest.raises(SolverError, match="positive cycle"):
-            longest_path_potentials(g, lam)
+            _potentials(g, lam, ordered)
 
 
-def test_potentials_single_node_scc(monkeypatch):
-    monkeypatch.setattr(solver_mod, "_MIN_VECTOR_NODES", 1)
+def test_potentials_single_node_scc():
     g = BiValuedGraph(1)
     g.add_arc(0, 0, 3, 1)  # self-loop, λ* = 3: zero-weight at λ*
     assert longest_path_potentials(g, Fraction(3)) == [0]
@@ -231,8 +263,8 @@ def test_potentials_single_node_scc(monkeypatch):
 @pytest.mark.parametrize("engine", ["karp", "hybrid"])
 def test_schedule_from_vectorized_paths_verifies(engine, force_vectorized,
                                                  multirate_cycle):
-    # end to end: vectorized oracle + vectorized potentials produce a
-    # schedule the token-replay ground truth accepts
+    # end to end: the engine's certified λ* + ordered potentials produce
+    # a schedule the token-replay ground truth accepts
     result = min_period_for_k(
         multirate_cycle, {"A": 1, "B": 1}, engine=engine
     )
